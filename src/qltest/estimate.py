@@ -17,7 +17,7 @@ from scipy.stats import qmc
 
 from .errors import BoundaryError, EstimationError
 from .models import ParamVector
-from .quasilik import QLContext, fd_gradient, ql_total
+from .quasilik import QLContext, _objective, fd_gradient, ql_total
 
 __all__ = ["FitOptions", "FitResult", "mqle", "initial_beta", "adaptive_estimate"]
 
@@ -174,13 +174,11 @@ def mqle(ctx: QLContext, opts: FitOptions = FitOptions()) -> FitResult:
         raise EstimationError("path too short for the number of parameters")
     box = model.box
     m1, m2 = model.m1, model.m2
-
-    def f(v):
-        return ql_total(ctx, ParamVector.from_full(v, m1, m2))
-
     starts = _start_points(box.lower, box.upper, opts.n_starts, extra=_heuristic_start(ctx))
+    # evaluations go through this module's ql_total binding, which the
+    # benchmark's traced run wraps to count them
     x, fun, converged, iters, restarts, at_boundary = _minimize_box(
-        f, starts, box.lower, box.upper, opts
+        _objective(ctx, ql_total), starts, box.lower, box.upper, opts
     )
     return FitResult(
         theta_hat=ParamVector.from_full(box.clip(x), m1, m2),

@@ -70,6 +70,18 @@ class ParamVector:
             )
         return cls(values[:m1].copy(), values[m1:].copy())
 
+    @classmethod
+    def _wrap(cls, alpha: np.ndarray, beta: np.ndarray) -> "ParamVector":
+        """Wrap two 1-d float arrays as they are: no conversion, copy or check.
+
+        For loops that evaluate thousands of parameter vectors whose layout
+        the caller has already fixed; everything else uses the constructor.
+        """
+        theta = cls.__new__(cls)
+        object.__setattr__(theta, "alpha", alpha)
+        object.__setattr__(theta, "beta", beta)
+        return theta
+
     def replace_alpha(self, alpha) -> "ParamVector":
         return ParamVector(np.asarray(alpha, dtype=float), self.beta)
 
@@ -135,7 +147,9 @@ class Model:
     """Parametric SDE model with analytic spatial derivatives.
 
     The callbacks accept ``(theta, x)`` where ``x`` may be a scalar or a
-    numpy array; ``c = sigma**2`` is always derived from ``diff``.
+    numpy array, and return a value that broadcasts against ``x``: a scalar
+    where the value does not depend on ``x``, otherwise an array shaped like
+    ``x``.  ``c = sigma**2`` is always derived from ``diff``.
     """
 
     m1: int
@@ -220,15 +234,15 @@ def _linear_drift(theta, x):
 
 
 def _linear_drift_dx(theta, x):
-    return -theta.alpha[0] * np.ones_like(np.asarray(x, dtype=float))
+    return -theta.alpha[0]
 
 
 def _ou_diff(theta, x):
-    return theta.beta[0] * np.ones_like(np.asarray(x, dtype=float))
+    return theta.beta[0]
 
 
 def _zero(theta, x):
-    return np.zeros_like(np.asarray(x, dtype=float))
+    return 0.0
 
 
 def _cir_diff(theta, x):
@@ -236,7 +250,7 @@ def _cir_diff(theta, x):
 
 
 def _cir_diffsq_dx(theta, x):
-    return theta.beta[0] ** 2 * np.ones_like(np.asarray(x, dtype=float))
+    return theta.beta[0] ** 2
 
 
 def _ou_invariant(theta):

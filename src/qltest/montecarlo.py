@@ -23,6 +23,7 @@ from .errors import (
     ConfigError,
     EstimationError,
     HarnessError,
+    QltestError,
     RaoUndefinedError,
     SimulationError,
     StatisticError,
@@ -32,7 +33,7 @@ from .hypotests import _phi_ratios, _rate_sqrt
 from .distributions import chi2_quantile
 from .models import ParamBox, ParamVector, make_model
 from .quasilik import QLContext, observed_info, ql_grad, ql_terms
-from .simulate import SimConfig, euler_maruyama
+from .simulate import SimConfig, euler_maruyama, observation_schedule
 
 __all__ = [
     "ExperimentConfig",
@@ -44,6 +45,10 @@ __all__ = [
 ]
 
 _FAILURE_BUDGET = 0.05
+
+# what a statistic may raise on a bad path or fit; it counts as a failed
+# replication.  Anything else is a bug and propagates.
+_STATISTIC_ERRORS = (QltestError, FloatingPointError, np.linalg.LinAlgError)
 
 # statistic kinds the harness can tabulate (stepwise tests are single-shot
 # diagnostics, not power-table columns)
@@ -88,8 +93,7 @@ class ExperimentConfig:
 
     @property
     def delta(self) -> float:
-        T = float(self.n) ** (1.0 / 3.0)
-        return T / self.n
+        return observation_schedule(self.n)[1]
 
     def model(self):
         return make_model(self.model_id, self.box)
@@ -204,7 +208,7 @@ def _statistic_values(ctx, fit, theta_null, kinds, terms_hat=None, info_full=Non
     if info_full is None and ("WALD" in kinds or "RAO" in kinds):
         try:
             info_full = observed_info(ctx, theta_hat).full()
-        except Exception:
+        except _STATISTIC_ERRORS:
             info_full = None
     for kind in kinds:
         try:
@@ -236,7 +240,7 @@ def _statistic_values(ctx, fit, theta_null, kinds, terms_hat=None, info_full=Non
             if kind in out and not math.isfinite(out[kind]):
                 del out[kind]
                 out[kind + "!fail"] = True
-        except Exception:
+        except _STATISTIC_ERRORS:
             out[kind + "!fail"] = True
     return out
 

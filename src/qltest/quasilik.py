@@ -12,7 +12,8 @@ All theta-derivatives are central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,27 +39,40 @@ FD_REL_STEP = 1e-5
 
 @dataclass(frozen=True)
 class QLContext:
-    """A model bound to the path it is evaluated on."""
+    """A model bound to the path it is evaluated on.
+
+    ``xprev`` holds the left endpoints X_0 .. X_{n-1} and ``xnext`` the
+    observations X_1 .. X_n, both views of the path taken once.
+    """
 
     model: Model
     path: "SamplePath"
+    xprev: np.ndarray = field(init=False, repr=False, compare=False)
+    xnext: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.model.check_domain(self.path.values)
+        object.__setattr__(self, "xprev", self.path.values[:-1])
+        object.__setattr__(self, "xnext", self.path.values[1:])
 
 
 def _pieces(ctx: QLContext, theta: ParamVector):
-    """Vectorized b, c, gamma2 at the left endpoints X_0 .. X_{n-1}."""
+    """b, c, gamma2 at the left endpoints X_0 .. X_{n-1}.
+
+    Each may be a scalar where the model's callbacks do not depend on x;
+    all of them broadcast against the path.
+    """
     model = ctx.model
-    xprev = ctx.path.values[:-1]
-    b = np.asarray(model.drift(theta, xprev), dtype=float)
-    sig = np.asarray(model.diff(theta, xprev), dtype=float)
+    xprev = ctx.xprev
+    b = model.drift(theta, xprev)
+    sig = model.diff(theta, xprev)
     c = sig * sig
-    if np.any(c <= 0.0) or not np.all(np.isfinite(c)):
+    # the minimum is NaN if any element is, which fails the comparison too
+    if not (0.0 < np.minimum.reduce(c, axis=None) and np.maximum.reduce(c, axis=None) < math.inf):
         raise DomainError("diffusion coefficient c must be positive and finite on the path")
-    dc = np.asarray(model.diffsq_dx(theta, xprev), dtype=float)
-    d2c = np.asarray(model.diffsq_dxx(theta, xprev), dtype=float)
-    db = np.asarray(model.drift_dx(theta, xprev), dtype=float)
+    dc = model.diffsq_dx(theta, xprev)
+    d2c = model.diffsq_dxx(theta, xprev)
+    db = model.drift_dx(theta, xprev)
     g2 = 0.5 * (b * dc + 2.0 * c * db) + 0.25 * c * d2c
     return xprev, b, c, g2
 
@@ -68,7 +82,7 @@ def ql_terms(ctx: QLContext, theta: ParamVector) -> np.ndarray:
     delta = ctx.path.delta
     xprev, b, c, g2 = _pieces(ctx, theta)
     d1 = -g2 / c
-    resid = ctx.path.values[1:] - (xprev + delta * b)
+    resid = ctx.xnext - (xprev + delta * b)
     return resid * resid / (2.0 * delta * c) * (1.0 + delta * d1) + 0.5 * (
         np.log(c) - delta * d1
     )
@@ -83,7 +97,7 @@ def ql_term(ctx: QLContext, theta: ParamVector, i: int) -> float:
 
 def ql_total(ctx: QLContext, theta: ParamVector) -> float:
     """Quasi-loglikelihood l_n(theta) = sum_i l_i(theta) (minimized)."""
-    return float(np.sum(ql_terms(ctx, theta)))
+    return float(ql_terms(ctx, theta).sum())
 
 
 def _steps(x: np.ndarray, rel_step: float) -> np.ndarray:
@@ -142,11 +156,17 @@ def fd_hessian(f, x, lower=None, upper=None, rel_step: float = FD_REL_STEP) -> n
     return 0.5 * (H + H.T)
 
 
-def _objective(ctx: QLContext):
-    m1, m2 = ctx.model.m1, ctx.model.m2
+def _objective(ctx: QLContext, total=ql_total):
+    """``total`` as a function of the flat vector v = (alpha, beta).
+
+    v is the optimizer's or the finite-difference stencil's float array; theta
+    wraps views of it, without the copy and checks of ``ParamVector``.
+    """
+    m1 = ctx.model.m1
+    wrap = ParamVector._wrap
 
     def f(v):
-        return ql_total(ctx, ParamVector.from_full(v, m1, m2))
+        return total(ctx, wrap(v[:m1], v[m1:]))
 
     return f
 
@@ -202,7 +222,7 @@ def fisher_info(ctx: QLContext, theta: ParamVector, rel_step: float = FD_REL_STE
     """
     model = ctx.model
     m1, m2 = model.m1, model.m2
-    xprev = ctx.path.values[:-1]
+    xprev = ctx.xprev
     c = np.asarray(model.diffsq(theta, xprev), dtype=float)
 
     ha = _steps(theta.alpha, rel_step)

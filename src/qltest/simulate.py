@@ -97,8 +97,14 @@ class SamplePath:
         for row in reader:
             if not row:
                 continue
-            times.append(float(row[0]))
-            values.append(float(row[1]))
+            try:
+                t, x = float(row[0]), float(row[1])
+            except (IndexError, ValueError):
+                raise ConfigError(
+                    f"sample path CSV line {reader.line_num}: expected two numbers 't,x', got {row!r}"
+                ) from None
+            times.append(t)
+            values.append(x)
         if len(values) < 3:
             raise ConfigError("sample path CSV needs at least 3 rows")
         steps = np.diff(times)

@@ -87,6 +87,13 @@ def test_test_subcommand_step(path_csv, capsys):
     assert kinds == ["STEP_BETA", "STEP_ALPHA"]
 
 
+@pytest.mark.parametrize("bad_row", ["0.1,abc", "0.1"])
+def test_estimate_malformed_csv_row_exits_2(tmp_path, bad_row):
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_text(f"t,x\n0.0,1.0\n{bad_row}\n0.2,1.1\n0.3,1.2\n")
+    assert main(["estimate", "--input", str(csv_path), "--model", "ou"]) == EXIT_USAGE
+
+
 def test_bs_without_threshold_exits_2(path_csv):
     code = main([
         "test", "--input", str(path_csv), "--model", "ou",

@@ -16,6 +16,7 @@ from qltest import (
     null_threshold,
     run_table,
 )
+from qltest import montecarlo
 from qltest.montecarlo import PowerTable, _empirical_quantile
 
 
@@ -149,3 +150,18 @@ def test_worker_count_determinism(small_config, tmp_path):
     assert "mc.master_seed = 7" in sidecar
     lines = [l for l in sidecar.strip().splitlines()]
     assert lines == sorted(lines)
+
+
+def test_bug_in_a_statistic_propagates(theta0_ou, monkeypatch):
+    # a programming error is not a failed replication to count against the
+    # failure budget: it must reach the caller unchanged
+    def broken(*args, **kwargs):
+        raise TypeError("broken broadcast")
+
+    monkeypatch.setattr(montecarlo, "_phi_ratios", broken)
+    config = ExperimentConfig(
+        model_id="ou", theta0=theta0_ou, n=50, h_grid=(0.0,),
+        replications=50, master_seed=7, statistics=("AKL",),
+    )
+    with pytest.raises(TypeError, match="broken broadcast"):
+        empirical_power(config)

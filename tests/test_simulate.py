@@ -145,3 +145,7 @@ def test_sample_path_csv_validation():
         SamplePath.from_csv(io.StringIO("t,x\n0,1\n1,2\n"))
     with pytest.raises(ConfigError):
         SamplePath.from_csv(io.StringIO("t,x\n0,1\n1,2\n3,3\n"))  # not equispaced
+    with pytest.raises(ConfigError, match="line 3"):
+        SamplePath.from_csv(io.StringIO("t,x\n0,1\n0.1,abc\n0.2,3\n"))  # non-numeric
+    with pytest.raises(ConfigError, match="line 3"):
+        SamplePath.from_csv(io.StringIO("t,x\n0,1\n0.1\n0.2,3\n"))  # short row
