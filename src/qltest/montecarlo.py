@@ -6,7 +6,9 @@ once, and evaluates every requested statistic against the null theta0
 on that shared path and fit (paired design).  Per-replication seeds are
 derived from (master_seed, replication index) only — independent of the
 statistic kind and of h — so results are identical for any worker count
-and the h columns are common-random-number coupled.
+and the h columns are common-random-number coupled.  The paths of a block
+of replications are simulated as one batch, which gives the same paths as
+one simulation per replication.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .errors import (
     HarnessError,
     QltestError,
     RaoUndefinedError,
-    SimulationError,
     StatisticError,
 )
 from .estimate import FitOptions, mqle
@@ -33,7 +34,13 @@ from .hypotests import _phi_ratios, _rate_sqrt
 from .distributions import chi2_quantile
 from .models import ParamBox, ParamVector, make_model
 from .quasilik import QLContext, observed_info, ql_grad, ql_terms
-from .simulate import SimConfig, euler_maruyama, observation_schedule
+from .simulate import (
+    SamplePath,
+    SimConfig,
+    derive_seed_sequence,
+    euler_maruyama,
+    observation_schedule,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -245,51 +252,63 @@ def _statistic_values(ctx, fit, theta_null, kinds, terms_hat=None, info_full=Non
     return out
 
 
-def _replicate(config: ExperimentConfig, h_index: int, rep: int):
-    """One replication: simulate at the alternative, fit, evaluate all kinds.
+def _replication_seed(master_seed: int, rep: int) -> int:
+    """Simulation seed of replication ``rep``: a pure function of the pair."""
+    return int(derive_seed_sequence(master_seed, rep).generate_state(1, dtype=np.uint64)[0])
 
-    The seed depends only on (master_seed, rep): the h cells are coupled
-    by common random numbers, as are all statistic kinds.
+
+def _replicate_block(args):
+    """Replications ``reps`` of one h cell, in order.
+
+    Their paths are simulated as one batch at the alternative, then each
+    is fitted and every kind evaluated on it.  Seeds depend only on
+    (master_seed, rep): the h cells are coupled by common random numbers,
+    as are all statistic kinds.
     """
+    config, h_index, reps = args
     model = config.model()
-    h = config.h_grid[h_index]
     delta = config.delta
-    theta_sim = local_alternative(config.theta0, h, config.n, delta, model.box)
-    seed_entropy = np.random.SeedSequence(
-        [config.master_seed & 0xFFFFFFFFFFFFFFFF, rep]
-    ).generate_state(1, dtype=np.uint64)[0]
-    sim = SimConfig(
-        n=config.n, delta=delta, x0=config.x0, seed=int(seed_entropy), refine=config.refine
-    )
+    theta_sim = local_alternative(config.theta0, config.h_grid[h_index], config.n, delta, model.box)
+    # seed is unused: each replication brings its own
+    sim = SimConfig(n=config.n, delta=delta, x0=config.x0, seed=0, refine=config.refine)
+    seeds = [_replication_seed(config.master_seed, rep) for rep in reps]
     try:
-        path = euler_maruyama(model, theta_sim, sim)
+        paths = euler_maruyama(model, theta_sim, sim, seeds)
+    except ConfigError:
+        paths = [None] * len(reps)
+    return [_fit_and_evaluate(config, model, path) for path in paths]
+
+
+def _fit_and_evaluate(config: ExperimentConfig, model, path):
+    """The record of one replication; every kind fails without a usable path or fit."""
+    failed = {kind + "!fail": True for kind in config.statistics}
+    if not isinstance(path, SamplePath):
+        return failed
+    try:
         ctx = QLContext(model, path)
         try:
             fit = mqle(ctx, _MC_FIT_OPTS)
         except EstimationError:
             fit = mqle(ctx)  # full multi-start fallback
-    except (SimulationError, EstimationError, ConfigError):
-        return {kind + "!fail": True for kind in config.statistics}
+    except (EstimationError, ConfigError):
+        return failed
     return _statistic_values(ctx, fit, config.theta0, config.statistics)
 
 
-def _replicate_chunk(args):
-    config, h_index, reps = args
-    return [_replicate(config, h_index, rep) for rep in reps]
-
-
 def _collect_cell(config: ExperimentConfig, h_index: int, workers: int = 1):
-    """All replications of one h cell, ordered by replication index."""
+    """All replications of one h cell, ordered by replication index.
+
+    With several workers each takes one contiguous block of replications,
+    so every batch stays as large as the split allows.
+    """
     reps = list(range(config.replications))
     if workers <= 1:
-        return [_replicate(config, h_index, rep) for rep in reps]
-    chunk = max(1, len(reps) // (workers * 4))
-    tasks = [
-        (config, h_index, reps[i : i + chunk]) for i in range(0, len(reps), chunk)
-    ]
+        return _replicate_block((config, h_index, reps))
+    block = -(-len(reps) // workers)
+    tasks = [(config, h_index, reps[i : i + block]) for i in range(0, len(reps), block)]
     results = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_replicate_chunk, tasks):
+        for part in pool.map(_replicate_block, tasks):
             results.extend(part)
     return results
 

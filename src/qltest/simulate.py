@@ -4,6 +4,13 @@ Paths are generated on an internal grid of ``refine`` substeps per
 observation step and then resampled to the observation times.  Gaussian
 increments come from a counter-based Philox generator through the inverse
 normal CDF, so a path is a pure function of (model, theta, config).
+
+A list of seeds is simulated as rows of one array program: every row keeps
+its own stream and the scalar loop's arithmetic in the same order, so each
+row equals the single-seed path bit for bit, and a row that leaves the
+domain is resimulated without the others.  The array program pays a fixed
+numpy cost per substep that only several rows amortise, so batches of fewer
+than ``_BATCH_MIN_ROWS`` rows, single paths included, run the scalar loop.
 """
 
 from __future__ import annotations
@@ -22,6 +29,14 @@ from .models import Model, ParamVector
 __all__ = ["SimConfig", "SamplePath", "euler_maruyama", "observation_schedule", "derive_seed_sequence"]
 
 _MAX_RESIM_ATTEMPTS = 5
+
+# fewer rows than this are simulated one path at a time: the batch loop
+# pays a fixed numpy cost per substep that only many rows amortise
+_BATCH_MIN_ROWS = 5
+
+# observation steps whose normals a batch draws at once, which bounds the
+# draw buffer to rows * _BLOCK_STEPS * refine values
+_BLOCK_STEPS = 32
 
 
 @dataclass(frozen=True)
@@ -98,8 +113,8 @@ class SamplePath:
             if not row:
                 continue
             try:
-                t, x = float(row[0]), float(row[1])
-            except (IndexError, ValueError):
+                t, x = map(float, row)  # a short or long row fails to unpack
+            except ValueError:
                 raise ConfigError(
                     f"sample path CSV line {reader.line_num}: expected two numbers 't,x', got {row!r}"
                 ) from None
@@ -134,50 +149,134 @@ def _standard_normals(rng, count):
     return ndtri(u)
 
 
-def euler_maruyama(model: Model, theta: ParamVector, config: SimConfig) -> SamplePath:
+def euler_maruyama(model: Model, theta: ParamVector, config: SimConfig, seeds=None):
     """Simulate n+1 observations at spacing delta by refined Euler steps.
 
     The diffusion coefficient is evaluated at the state clipped into the
     closed state domain (full truncation), the drift at the raw state.
-    If a retained observation still leaves the open domain the whole path
-    is resimulated from a derived sub-seed, at most 5 times.
+    If a retained observation still leaves the open domain the path is
+    resimulated from a derived sub-seed, at most 5 times; then
+    ``SimulationError`` is raised, carrying the first bad step.
+
+    With ``seeds`` (``config.seed`` is then ignored) one path is simulated
+    per seed and a list in seed order is returned; a slot holds the
+    ``SamplePath``, or the ``SimulationError`` of a path that failed every
+    attempt.  Each path equals the single-seed call bit for bit.
     """
     model.check_theta(theta)
     model.check_domain(config.x0)
+    if seeds is not None:
+        return _simulate(model, theta, config, [int(s) for s in seeds])
+    slot = _simulate(model, theta, config, [config.seed])[0]
+    if isinstance(slot, SimulationError):
+        raise slot
+    return slot
 
+
+def _simulate(model, theta, config, seeds):
+    """One slot per seed; rows that leave the domain retry without the rest."""
+    slots = [None] * len(seeds)
+    pending = list(range(len(seeds)))
+    bad_steps = {}
+    for attempt in range(_MAX_RESIM_ATTEMPTS):
+        row_seeds = [seeds[i] for i in pending]
+        if len(row_seeds) < _BATCH_MIN_ROWS:
+            rows = [_path_attempt(model, theta, config, s, attempt) for s in row_seeds]
+        else:
+            rows = zip(*_batch_attempt(model, theta, config, row_seeds, attempt))
+        retry = []
+        for i, (values, bad_step) in zip(pending, rows):
+            if bad_step:
+                bad_steps[i] = int(bad_step)
+                retry.append(i)
+            else:
+                slots[i] = SamplePath(delta=config.delta, values=values)
+        pending = retry
+        if not pending:
+            break
+    for i in pending:
+        slots[i] = SimulationError(
+            f"path left the state domain in all {_MAX_RESIM_ATTEMPTS} attempts",
+            step_index=bad_steps[i],
+        )
+    return slots
+
+
+def _philox(seed, attempt):
+    return np.random.Generator(np.random.Philox(derive_seed_sequence(seed, attempt)))
+
+
+def _path_attempt(model, theta, config, seed, attempt):
+    """One attempt at one path, a scalar loop: (values, first bad step or 0)."""
     n, refine = config.n, config.refine
     h = config.delta / refine
     sqh = math.sqrt(h)
     lo, hi = model.state_domain
     drift, diff = model.drift, model.diff
 
-    last_bad_step = None
-    for attempt in range(_MAX_RESIM_ATTEMPTS):
-        rng = np.random.Generator(
-            np.random.Philox(derive_seed_sequence(config.seed, attempt))
-        )
-        z = _standard_normals(rng, n * refine)
-        values = np.empty(n + 1)
-        values[0] = x = config.x0
-        k = 0
-        ok = True
-        for i in range(1, n + 1):
-            for _ in range(refine):
-                xg = x
-                if xg < lo:
-                    xg = lo
-                elif xg > hi:
-                    xg = hi
-                x = x + drift(theta, x) * h + diff(theta, xg) * sqh * z[k]
-                k += 1
-            if not (lo < x < hi) or not math.isfinite(x):
-                ok = False
-                last_bad_step = i
-                break
-            values[i] = x
-        if ok:
-            return SamplePath(delta=config.delta, values=values)
-    raise SimulationError(
-        f"path left the state domain in all {_MAX_RESIM_ATTEMPTS} attempts",
-        step_index=last_bad_step,
-    )
+    z = _standard_normals(_philox(seed, attempt), n * refine)
+    values = np.empty(n + 1)
+    values[0] = x = config.x0
+    k = 0
+    for i in range(1, n + 1):
+        for _ in range(refine):
+            xg = x
+            if xg < lo:
+                xg = lo
+            elif xg > hi:
+                xg = hi
+            x = x + drift(theta, x) * h + diff(theta, xg) * sqh * z[k]
+            k += 1
+        if not (lo < x < hi) or not math.isfinite(x):
+            return None, i
+        values[i] = x
+    return values, 0
+
+
+def _batch_attempt(model, theta, config, seeds, attempt):
+    """One attempt at len(seeds) paths as one array program over rows.
+
+    Row r runs the scalar loop's arithmetic in the same order on its own
+    stream, so it equals ``_path_attempt`` for seeds[r] bit for bit.
+    Returns the (rows, n+1) values and each row's first bad step (0: none).
+    """
+    n, refine = config.n, config.refine
+    h = config.delta / refine
+    sqh = math.sqrt(h)
+    lo, hi = model.state_domain
+    drift, diff = model.drift, model.diff
+    # np.clip(x, lo, hi), applying only the finite bounds: np.clip costs
+    # several times one np.maximum on a short row
+    clip_lo, clip_hi = math.isfinite(lo), math.isfinite(hi)
+
+    rngs = [_philox(seed, attempt) for seed in seeds]
+    rows = len(seeds)
+    values = np.empty((n + 1, rows))
+    values[0] = x = np.full(rows, float(config.x0))
+    bad = np.zeros(rows, dtype=np.int64)
+    draws = np.empty((rows, _BLOCK_STEPS * refine))
+    with np.errstate(all="ignore"):
+        for first in range(1, n + 1, _BLOCK_STEPS):
+            steps = min(_BLOCK_STEPS, n + 1 - first)
+            count = steps * refine
+            # each row's next normals; a stream drawn in blocks gives the
+            # same numbers as one draw of all n * refine
+            for r, rng in enumerate(rngs):
+                draws[r, :count] = _standard_normals(rng, count)
+            z = draws[:, :count].T.copy()
+            k = 0
+            for i in range(first, first + steps):
+                for _ in range(refine):
+                    xg = x
+                    if clip_lo:
+                        xg = np.maximum(xg, lo)
+                    if clip_hi:
+                        xg = np.minimum(xg, hi)
+                    x = x + drift(theta, x) * h + diff(theta, xg) * sqh * z[k]
+                    k += 1
+                # comparisons with NaN are false, so this also catches
+                # non-finite states
+                left = ~((lo < x) & (x < hi)) & (bad == 0)
+                bad[left] = i
+                values[i] = x
+    return values.T.copy(), bad

@@ -139,17 +139,30 @@ def test_asymptotic_threshold_mode(theta0_ou):
 
 
 def test_worker_count_determinism(small_config, tmp_path):
-    f1 = tmp_path / "serial.csv"
-    f2 = tmp_path / "parallel.csv"
-    t1 = run_table(small_config, f1, workers=1)
-    t2 = run_table(small_config, f2, workers=2)
-    assert f1.read_bytes() == f2.read_bytes()
-    assert t1.epow == t2.epow
+    cir_config = ExperimentConfig(
+        model_id="cir", theta0=ParamVector([0.5, 0.5], [0.125]), n=50,
+        h_grid=(0.0, 1.0), replications=50, master_seed=5, statistics=("T", "WALD"),
+    )
+    for config in (small_config, cir_config):
+        csvs, tables = [], []
+        for workers in (1, 2, 3):  # 3 workers take uneven blocks: 17, 17, 16
+            out = tmp_path / f"{config.model_id}-{workers}.csv"
+            tables.append(run_table(config, out, workers=workers))
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1] == csvs[2]
+        assert tables[0].epow == tables[1].epow == tables[2].epow
     # the config-echo sidecar is written next to the CSV
-    sidecar = (tmp_path / "serial.csv.config.txt").read_text()
+    sidecar = (tmp_path / "ou-1.csv.config.txt").read_text()
     assert "mc.master_seed = 7" in sidecar
     lines = [l for l in sidecar.strip().splitlines()]
     assert lines == sorted(lines)
+
+
+def test_replication_seed_is_the_derived_sub_seed():
+    # the value the harness has always used: SeedSequence([master_seed, rep])
+    expected = np.random.SeedSequence([7, 3]).generate_state(1, dtype=np.uint64)[0]
+    assert montecarlo._replication_seed(7, 3) == int(expected)
+    assert montecarlo._replication_seed(-1, 0) == montecarlo._replication_seed(2**64 - 1, 0)
 
 
 def test_bug_in_a_statistic_propagates(theta0_ou, monkeypatch):

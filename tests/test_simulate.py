@@ -1,6 +1,7 @@
 """Path simulation: determinism, schedule arithmetic, CSV round trips,
-invariant-law moments and domain handling."""
+invariant-law moments, domain handling and bit-identity of batched paths."""
 
+import functools
 import io
 import math
 
@@ -21,6 +22,7 @@ from qltest import (
     make_ou,
     observation_schedule,
 )
+from qltest import simulate
 from qltest.simulate import derive_seed_sequence
 
 
@@ -149,3 +151,78 @@ def test_sample_path_csv_validation():
         SamplePath.from_csv(io.StringIO("t,x\n0,1\n0.1,abc\n0.2,3\n"))  # non-numeric
     with pytest.raises(ConfigError, match="line 3"):
         SamplePath.from_csv(io.StringIO("t,x\n0,1\n0.1\n0.2,3\n"))  # short row
+    with pytest.raises(ConfigError, match="line 2"):
+        SamplePath.from_csv(io.StringIO("t,x\n0,1,junk\n0.1,2,9\n0.2,3\n"))  # extra field
+
+
+_BATCH_SEEDS = [int(derive_seed_sequence(7, rep).generate_state(1, dtype=np.uint64)[0])
+                for rep in range(50)]
+
+
+@functools.lru_cache(maxsize=None)
+def _single_paths(model_id, n):
+    model, theta = _batch_setting(model_id)
+    delta = observation_schedule(n)[1]
+    return [
+        euler_maruyama(model, theta, SimConfig(n=n, delta=delta, x0=1.0, seed=s)).values
+        for s in _BATCH_SEEDS
+    ]
+
+
+def _batch_setting(model_id):
+    if model_id == "ou":
+        return make_ou(), ParamVector([0.5, 0.5], [0.25])
+    return make_cir(), ParamVector([0.5, 0.5], [0.125])
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+@pytest.mark.parametrize("model_id", ["ou", "cir"])
+def test_batch_rows_equal_single_paths(model_id, n):
+    # below, at and above the size where the array program takes over
+    model, theta = _batch_setting(model_id)
+    config = SimConfig(n=n, delta=observation_schedule(n)[1], x0=1.0, seed=0)
+    single = _single_paths(model_id, n)
+    crossover = simulate._BATCH_MIN_ROWS
+    for rows in (1, crossover - 1, crossover, 50):
+        batch = euler_maruyama(model, theta, config, _BATCH_SEEDS[:rows])
+        assert len(batch) == rows
+        for path, values in zip(batch, single):
+            assert isinstance(path, SamplePath)
+            assert path.delta == config.delta
+            assert np.array_equal(path.values, values)
+
+
+def test_batch_resimulates_rows_alone():
+    # Brownian motion in (-1.1, 1.1): 23 rows leave the domain at their
+    # first attempt, 22 of them stay in at a later one, and seed 24 leaves
+    # it in all five
+    model = Model(
+        m1=1,
+        m2=1,
+        drift=_const(0.0),
+        diff=_const(1.0),
+        drift_dx=_const(0.0),
+        diffsq_dx=_const(0.0),
+        diffsq_dxx=_const(0.0),
+        state_domain=(-1.1, 1.1),
+        box=ParamBox([0.01, 0.01], [5.0, 5.0]),
+        name="bm",
+    )
+    theta = ParamVector([1.0], [1.0])
+    seeds = list(range(50))
+    config = SimConfig(n=10, delta=0.1, x0=0.0, seed=0, refine=5)
+    slots = euler_maruyama(model, theta, config, seeds)
+    exhausted, resimulated = [], 0
+    for seed, slot in zip(seeds, slots):
+        single = SimConfig(n=10, delta=0.1, x0=0.0, seed=seed, refine=5)
+        if isinstance(slot, SimulationError):
+            exhausted.append(seed)
+            with pytest.raises(SimulationError) as exc:
+                euler_maruyama(model, theta, single)
+            assert slot.step_index == exc.value.step_index
+        else:
+            assert np.array_equal(slot.values, euler_maruyama(model, theta, single).values)
+            resimulated += simulate._path_attempt(model, theta, config, seed, 0)[1] != 0
+    assert exhausted == [24]
+    assert slots[24].step_index == 4
+    assert resimulated == 22
