@@ -72,7 +72,9 @@ class ParamVector:
 
     @classmethod
     def _wrap(cls, alpha: np.ndarray, beta: np.ndarray) -> "ParamVector":
-        """Wrap two 1-d float arrays as they are: no conversion, copy or check.
+        """Wrap two float arrays as they are: no conversion, copy or check.
+
+        Each is a 1-d block or, in the lockstep search, an (m, k, 1) block.
 
         For loops that evaluate thousands of parameter vectors whose layout
         the caller has already fixed; everything else uses the constructor.
@@ -150,6 +152,17 @@ class Model:
     numpy array, and return a value that broadcasts against ``x``: a scalar
     where the value does not depend on ``x``, otherwise an array shaped like
     ``x``.  ``c = sigma**2`` is always derived from ``diff``.
+
+    The estimators' lockstep search evaluates k parameter points at once:
+    ``theta.alpha`` or ``theta.beta`` may then be a block of shape
+    (m, k, 1), ``x`` has shape (k, n) or (n,), and the value must broadcast
+    against ``x`` to (k, n).  Callbacks written with elementwise numpy
+    operations on ``theta.alpha[i]``, ``theta.beta[i]`` and ``x`` do this
+    unchanged, and each row equals the single-point value bit for bit, with
+    one exception: numpy evaluates ``**`` on a scalar with C ``pow`` but
+    squares an array, so ``theta.beta[0] ** 2`` (the built-in CIR
+    ``diffsq_dx``) can differ by one rounding between the two; a product
+    such as ``b * b`` does not.
     """
 
     m1: int
@@ -203,6 +216,11 @@ def gamma2(model: Model, theta: ParamVector, x) -> float:
     dc = model.diffsq_dx(theta, x)
     d2c = model.diffsq_dxx(theta, x)
     db = model.drift_dx(theta, x)
+    return _gamma2(b, c, dc, d2c, db)
+
+
+def _gamma2(b, c, dc, d2c, db):
+    """gamma2 from b, c and their x-derivatives; shared with the quasi-likelihood."""
     return 0.5 * (b * dc + 2.0 * c * db) + 0.25 * c * d2c
 
 

@@ -29,7 +29,7 @@ from .errors import (
     RaoUndefinedError,
     StatisticError,
 )
-from .estimate import FitOptions, mqle
+from .estimate import FitOptions, mqle, mqle_search
 from .hypotests import _phi_ratios, _rate_sqrt
 from .distributions import chi2_quantile
 from .models import ParamBox, ParamVector, make_model
@@ -260,10 +260,11 @@ def _replication_seed(master_seed: int, rep: int) -> int:
 def _replicate_block(args):
     """Replications ``reps`` of one h cell, in order.
 
-    Their paths are simulated as one batch at the alternative, then each
-    is fitted and every kind evaluated on it.  Seeds depend only on
-    (master_seed, rep): the h cells are coupled by common random numbers,
-    as are all statistic kinds.
+    Their paths are simulated as one batch at the alternative, the
+    Nelder-Mead starts of all their fits run as one lockstep search, and
+    then each path's fit is polished and every kind evaluated on it.  Seeds
+    depend only on (master_seed, rep): the h cells are coupled by common
+    random numbers, as are all statistic kinds.
     """
     config, h_index, reps = args
     model = config.model()
@@ -276,18 +277,23 @@ def _replicate_block(args):
         paths = euler_maruyama(model, theta_sim, sim, seeds)
     except ConfigError:
         paths = [None] * len(reps)
-    return [_fit_and_evaluate(config, model, path) for path in paths]
+    ctxs = [QLContext(model, path) if isinstance(path, SamplePath) else None for path in paths]
+    fitted = [ctx for ctx in ctxs if ctx is not None]
+    searches = iter(mqle_search(fitted, _MC_FIT_OPTS) if fitted else ())
+    return [
+        _fit_and_evaluate(config, ctx, None if ctx is None else next(searches))
+        for ctx in ctxs
+    ]
 
 
-def _fit_and_evaluate(config: ExperimentConfig, model, path):
+def _fit_and_evaluate(config: ExperimentConfig, ctx, search):
     """The record of one replication; every kind fails without a usable path or fit."""
     failed = {kind + "!fail": True for kind in config.statistics}
-    if not isinstance(path, SamplePath):
+    if ctx is None:
         return failed
     try:
-        ctx = QLContext(model, path)
         try:
-            fit = mqle(ctx, _MC_FIT_OPTS)
+            fit = mqle(ctx, _MC_FIT_OPTS, search=search)
         except EstimationError:
             fit = mqle(ctx)  # full multi-start fallback
     except (EstimationError, ConfigError):

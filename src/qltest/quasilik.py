@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundaryError, DomainError
-from .models import Model, ParamVector
+from .models import Model, ParamVector, _gamma2
 
 __all__ = [
     "QLContext",
@@ -56,14 +56,12 @@ class QLContext:
         object.__setattr__(self, "xnext", self.path.values[1:])
 
 
-def _pieces(ctx: QLContext, theta: ParamVector):
-    """b, c, gamma2 at the left endpoints X_0 .. X_{n-1}.
+def _pieces(model: Model, theta: ParamVector, xprev):
+    """b, c, gamma2 at the left endpoints ``xprev``.
 
     Each may be a scalar where the model's callbacks do not depend on x;
     all of them broadcast against the path.
     """
-    model = ctx.model
-    xprev = ctx.xprev
     b = model.drift(theta, xprev)
     sig = model.diff(theta, xprev)
     c = sig * sig
@@ -73,19 +71,28 @@ def _pieces(ctx: QLContext, theta: ParamVector):
     dc = model.diffsq_dx(theta, xprev)
     d2c = model.diffsq_dxx(theta, xprev)
     db = model.drift_dx(theta, xprev)
-    g2 = 0.5 * (b * dc + 2.0 * c * db) + 0.25 * c * d2c
-    return xprev, b, c, g2
+    return b, c, _gamma2(b, c, dc, d2c, db)
+
+
+def _terms(model: Model, delta: float, xprev, xnext, theta: ParamVector) -> np.ndarray:
+    """The terms l_i of the transitions xprev -> xnext.
+
+    With 1-d parameter blocks and 1-d paths this is one path's terms.  With
+    blocks of shape (m, k, 1) and paths stacked as (k, n) rows it gives the
+    (k, n) terms of k parameter points, each row by the same operations as
+    the single-path call.
+    """
+    b, c, g2 = _pieces(model, theta, xprev)
+    d1 = -g2 / c
+    resid = xnext - (xprev + delta * b)
+    return resid * resid / (2.0 * delta * c) * (1.0 + delta * d1) + 0.5 * (
+        np.log(c) - delta * d1
+    )
 
 
 def ql_terms(ctx: QLContext, theta: ParamVector) -> np.ndarray:
     """All per-observation terms l_i(theta), i = 1..n, as an array."""
-    delta = ctx.path.delta
-    xprev, b, c, g2 = _pieces(ctx, theta)
-    d1 = -g2 / c
-    resid = ctx.xnext - (xprev + delta * b)
-    return resid * resid / (2.0 * delta * c) * (1.0 + delta * d1) + 0.5 * (
-        np.log(c) - delta * d1
-    )
+    return _terms(ctx.model, ctx.path.delta, ctx.xprev, ctx.xnext, theta)
 
 
 def ql_term(ctx: QLContext, theta: ParamVector, i: int) -> float:

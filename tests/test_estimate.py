@@ -1,6 +1,8 @@
 """Estimators: the box-constrained quasi-likelihood minimizer, the
 diffusion pre-estimator and the two-stage adaptive variant."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -89,3 +91,14 @@ def test_objective_orders_parameters(ou_ctx_1000, theta0_ou):
     # data simulated at theta0 strongly prefers theta0 over a shifted theta
     shifted = ParamVector(theta0_ou.alpha + 0.5, theta0_ou.beta + 0.1)
     assert ql_total(ou_ctx_1000, theta0_ou) < ql_total(ou_ctx_1000, shifted)
+
+
+def test_bug_in_model_callback_propagates(ou_ctx_1000, ou_model):
+    # a bug in a callback is not a failed start: the error reaches the caller
+    def broken_drift(theta, x):
+        raise ValueError("bug in drift")
+
+    model = dataclasses.replace(ou_model, drift=broken_drift)
+    ctx = QLContext(model, ou_ctx_1000.path)
+    with pytest.raises(ValueError, match="bug in drift"):
+        mqle(ctx)
