@@ -158,11 +158,10 @@ class Model:
     (m, k, 1), ``x`` has shape (k, n) or (n,), and the value must broadcast
     against ``x`` to (k, n).  Callbacks written with elementwise numpy
     operations on ``theta.alpha[i]``, ``theta.beta[i]`` and ``x`` do this
-    unchanged, and each row equals the single-point value bit for bit, with
-    one exception: numpy evaluates ``**`` on a scalar with C ``pow`` but
-    squares an array, so ``theta.beta[0] ** 2`` (the built-in CIR
-    ``diffsq_dx``) can differ by one rounding between the two; a product
-    such as ``b * b`` does not.
+    unchanged, and each row equals the single-point value bit for bit.  A
+    power of a parameter is written as a product (``b * b``): numpy
+    evaluates ``**`` on a scalar with C ``pow`` but on an array as a
+    product, one rounding apart at times.
     """
 
     m1: int
@@ -268,7 +267,8 @@ def _cir_diff(theta, x):
 
 
 def _cir_diffsq_dx(theta, x):
-    return theta.beta[0] ** 2
+    b = theta.beta[0]
+    return b * b
 
 
 def _ou_invariant(theta):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -348,14 +348,22 @@ def _check_budget(records, kinds, replications):
     return counts
 
 
-def null_threshold(config: ExperimentConfig, kind: str, workers: int = 1) -> float:
-    """Empirical (1 - level)-quantile of the statistic under the null."""
-    kind = kind.upper()
-    null_index = config.h_grid.index(0.0)
-    records = _collect_cell(config, null_index, workers)
-    _check_budget(records, [kind], config.replications)
+def _null_quantile(records, kind, level):
+    """Empirical (1 - level)-quantile of ``kind`` over the null cell's records."""
     values, _ = _cell_stats(records, kind)
-    return float(_empirical_quantile(values, config.level))
+    return float(_empirical_quantile(values, level))
+
+
+def null_threshold(config: ExperimentConfig, kind: str, workers: int = 1) -> float:
+    """Empirical (1 - level)-quantile of the statistic under the null.
+
+    Only the null cell is run, and only ``kind`` is evaluated on it; a kind
+    the harness cannot tabulate raises ConfigError.
+    """
+    config = replace(config, statistics=(kind,), threshold_mode="empirical")
+    records = _collect_cell(config, config.h_grid.index(0.0), workers)
+    _check_budget(records, config.statistics, config.replications)
+    return _null_quantile(records, config.statistics[0], config.level)
 
 
 def empirical_power(config: ExperimentConfig, workers: int = 1) -> PowerTable:
@@ -371,8 +379,7 @@ def empirical_power(config: ExperimentConfig, workers: int = 1) -> PowerTable:
     thresholds = {}
     for kind in config.statistics:
         if config.threshold_mode == "empirical":
-            values, _ = _cell_stats(cells[null_index], kind)
-            thresholds[kind] = float(_empirical_quantile(values, config.level))
+            thresholds[kind] = _null_quantile(cells[null_index], kind, config.level)
         else:
             thresholds[kind] = chi2_quantile(1.0 - config.level, df)
 

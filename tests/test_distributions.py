@@ -1,6 +1,8 @@
 """Chi-square distribution functions against independent oracles:
-closed forms (df 1 and 2), Simpson integration of the density, and
-Monte Carlo for the noncentral CDF."""
+closed forms (df 1 and 2), Simpson integration of the density, Monte
+Carlo for the noncentral CDF, and values recorded from an earlier
+implementation (incomplete-gamma series and continued fraction, bisection
+quantile, Poisson-mixture noncentral CDF)."""
 
 import math
 
@@ -34,6 +36,29 @@ def test_quantile_frozen_values():
     assert chi2_quantile(0.99, 2) == pytest.approx(9.210340, abs=1e-5)
 
 
+# (p, df, quantile) recorded from the bisection-and-Newton implementation
+_FROZEN_QUANTILES = [
+    (0.95, 3, 7.8147279032511765),
+    (0.95, 1, 3.841458820694129),
+    (0.95, 4, 9.487729036781154),
+    (0.05, 3, 0.3518463177492714),
+    (0.5, 6, 5.348120627447118),
+    (0.999, 1, 10.827566170662728),
+    (0.001, 5, 0.2102126026292192),
+]
+
+
+@pytest.mark.parametrize("p,df,expected", _FROZEN_QUANTILES)
+def test_quantile_matches_recorded_values(p, df, expected):
+    assert chi2_quantile(p, df) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [0.05, 0.5, 0.9, 0.95, 0.99, 0.999])
+def test_quantile_df2_matches_closed_form(p):
+    # df = 2: F(x) = 1 - exp(-x/2), so the quantile is -2 log(1 - p)
+    assert chi2_quantile(p, 2) == pytest.approx(-2.0 * math.log1p(-p), rel=1e-14)
+
+
 def test_cdf_df1_matches_error_function():
     # df = 1: F(x) = erf(sqrt(x/2))
     for x in (0.1, 0.5, 1.0, 3.0, 7.5):
@@ -54,6 +79,11 @@ def test_cdf_matches_simpson(df, x):
 def test_cdf_edges():
     assert chi2_cdf(0.0, 3) == 0.0
     assert chi2_cdf(1e6, 3) == pytest.approx(1.0, abs=1e-12)
+    assert chi2_cdf(math.inf, 3) == 1.0
+    assert noncentral_chi2_cdf(math.inf, 3, 5.0) == 1.0
+    # a NaN argument propagates; it is not read as a probability
+    assert math.isnan(chi2_cdf(math.nan, 3))
+    assert math.isnan(noncentral_chi2_cdf(7.8147, 3, math.nan))
 
 
 def test_pdf_at_zero():
@@ -88,6 +118,13 @@ def test_input_validation():
         noncentral_chi2_cdf(1.0, 3, -1.0)
     with pytest.raises(ValueError):
         noncentral_chi2_cdf(1.0, 3, 2e6)
+    # scipy accepts a fractional df; these wrappers must not
+    with pytest.raises(ValueError):
+        chi2_cdf(1.0, 2.5)
+    with pytest.raises(ValueError):
+        chi2_quantile(0.95, 2.5)
+    with pytest.raises(ValueError):
+        noncentral_chi2_cdf(1.0, 2.5, 1.0)
 
 
 def test_noncentral_reduces_to_central_at_zero():
@@ -100,10 +137,22 @@ def test_noncentral_monotone_in_noncentrality():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_noncentral_with_info_reports_terms():
-    value, terms = noncentral_chi2_cdf(7.8147, 3, 5.0, with_info=True)
-    assert 0.0 <= value <= 1.0
-    assert terms > 0
+# (x, df, lam, cdf) recorded from the Poisson-mixture implementation
+_FROZEN_NONCENTRAL = [
+    (7.8147, 3, 37.0, 0.00021049281102611007),
+    (7.8147, 3, 5.0, 0.5594888868620319),
+    (10.0, 3, 5.0, 0.7066486477773525),
+    (1.0, 1, 0.5, 0.5712970103867432),
+    (5.991465, 2, 10.0, 0.18457864688521805),
+    (20.0, 5, 12.0, 0.6903127525630864),
+    (60.0, 10, 40.0, 0.7817496552133477),
+    (150.0, 3, 200.0, 0.02438019911198537),
+]
+
+
+@pytest.mark.parametrize("x,df,lam,expected", _FROZEN_NONCENTRAL)
+def test_noncentral_matches_recorded_values(x, df, lam, expected):
+    assert noncentral_chi2_cdf(x, df, lam) == pytest.approx(expected, abs=1e-12)
 
 
 def test_noncentral_matches_monte_carlo_oracle():

@@ -182,6 +182,23 @@ def test_one_dimensional_rows_equal_scipy(model_id):
     _assert_rows_equal(lockstep, _scipy_rows(objectives, starts, lower, upper, 200))
 
 
+def test_cir_rows_equal_ql_total_where_pow_and_product_differ():
+    # numpy evaluates ** on a scalar with C pow but squares an array; at these
+    # beta the two differ in the last bit, so a callback written with ** would
+    # give a row and the scalar ql_total different objectives
+    ctxs = _ctxs("cir", 100, 3)
+    box = ctxs[0].model.box
+    betas = np.random.default_rng(0).uniform(box.lower[2], box.upper[2], 400_000)
+    betas = betas[[b ** 2 != b * b for b in betas]]
+    assert betas.size > 100
+    alpha = np.array([0.5, 0.5])
+    row_ctx = np.repeat(np.arange(len(ctxs)), betas.size)
+    f_rows = _ql_rows(ctxs, row_ctx, lambda bv: ParamVector._wrap(alpha, bv))
+    rows = f_rows(np.arange(row_ctx.size), np.tile(betas, len(ctxs))[:, None])
+    scalar = [ql_total(ctx, ParamVector(alpha, [b])) for ctx in ctxs for b in betas]
+    assert np.array_equal(rows, scalar)
+
+
 def test_row_objective_reads_non_finite_as_big():
     f_rows = _row_objective(lambda rows, block: np.array([1.0, np.nan, np.inf, -np.inf])[rows], 4)
     out = f_rows(np.arange(4), np.zeros((4, 3)))

@@ -2,6 +2,8 @@
 validation, quantile convention, CSV round trips and worker-count
 determinism on a small study."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,12 @@ def test_power_table_contents(small_config, small_table):
 
 def test_null_threshold_matches_table(small_config, small_table):
     assert null_threshold(small_config, "T") == small_table.thresholds["T"]
+    # a kind the config does not tabulate, against a table that does
+    null_only = dataclasses.replace(
+        small_config, h_grid=(0.0,), statistics=small_config.statistics + ("WALD",))
+    assert null_threshold(small_config, "wald") == empirical_power(null_only).thresholds["WALD"]
+    with pytest.raises(ConfigError):
+        null_threshold(small_config, "FOO")
 
 
 def test_power_table_csv_round_trip(small_table, tmp_path):

@@ -49,7 +49,8 @@ def _ou_diff(theta, x):
 
 
 def _cir_diffsq_dx(theta, x):
-    return theta.beta[0] ** 2 * _ones(x)
+    b = theta.beta[0]
+    return b * b * _ones(x)
 
 
 def _zero(theta, x):
