@@ -1,7 +1,11 @@
 """Command-line front end: simulate, estimate, test, power.
 
 Exit codes: 0 ok, 2 usage/config, 3 estimation failure, 4 rao-undefined,
-5 failure-budget breach, 1 unexpected error.
+5 failure-budget breach, 1 unexpected error.  Text that does not read as a
+number, in a flag or a config value, is a config error (exit 2) naming the
+flag or the ``path:key``.  The ``test`` command's ``--stat`` choices are the
+``hypotests`` registry's kinds plus ``step``, and every kind but ``step`` is
+evaluated through that registry.
 """
 
 from __future__ import annotations
@@ -21,15 +25,13 @@ from .errors import (
 )
 from .estimate import adaptive_estimate, initial_beta, mqle
 from .hypotests import (
-    gqlrt_statistic,
-    phi_divergence_statistic,
-    rao_statistic,
+    _STATISTICS,
+    _chi2_calibrated,
+    _report,
     report_csv_header,
     report_csv_row,
     stepwise_alpha,
     stepwise_beta,
-    t_statistic,
-    wald_statistic,
 )
 from .models import ParamBox, ParamVector, make_model
 from .montecarlo import ExperimentConfig, run_table
@@ -44,15 +46,23 @@ EXIT_RAO = 4
 EXIT_BUDGET = 5
 
 
-def _parse_theta(text: str) -> ParamVector:
-    parts = [float(p) for p in text.split(",")]
+def _number(text: str, convert, where: str):
+    """``convert(text)``; ConfigError naming ``where`` when it does not parse."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ConfigError(f"{where}: cannot read {text!r} as {convert.__name__}") from None
+
+
+def _parse_floats(text: str, where: str):
+    return [_number(p, float, where) for p in text.split(",") if p.strip() != ""]
+
+
+def _parse_theta(text: str, where: str) -> ParamVector:
+    parts = _parse_floats(text, where)
     if len(parts) != 3:
-        raise ConfigError("theta must be three comma-separated values a1,a2,b1")
+        raise ConfigError(f"{where}: theta must be three comma-separated values a1,a2,b1")
     return ParamVector(np.array(parts[:2]), np.array(parts[2:]))
-
-
-def _parse_floats(text: str):
-    return [float(p) for p in text.split(",") if p.strip() != ""]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--model", required=True, choices=["ou", "cir"])
     p_test.add_argument("--null", required=True, help="a1,a2,b1 null parameter")
     p_test.add_argument("--stat", required=True,
-                        choices=["t", "gqlrt", "wald", "rao", "akl", "bs", "step"])
+                        choices=[kind.lower() for kind in _STATISTICS] + ["step"])
     p_test.add_argument("--level", type=float, default=0.05)
     p_test.add_argument("--threshold", type=float, default=None,
                         help="empirical threshold override")
@@ -100,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args) -> int:
-    theta = _parse_theta(args.theta)
+    theta = _parse_theta(args.theta, "--theta")
     model = make_model(args.model)
     delta = args.delta if args.delta is not None else observation_schedule(args.n)[1]
     config = SimConfig(n=args.n, delta=delta, x0=args.x0, seed=args.seed, refine=args.refine)
@@ -135,14 +145,14 @@ def cmd_test(args) -> int:
     model = make_model(args.model)
     path = SamplePath.from_csv(args.input)
     ctx = QLContext(model, path)
-    theta0 = _parse_theta(args.null)
+    theta0 = _parse_theta(args.null, "--null")
     model.check_theta(theta0)
-    stat = args.stat.lower()
-    if stat == "bs" and args.threshold is None:
-        raise ConfigError("BS requires --threshold (no asymptotic calibration)")
+    kind = args.stat.upper()
+    if args.threshold is None and not _chi2_calibrated(kind):
+        raise ConfigError(f"{kind} requires --threshold (no asymptotic calibration)")
 
     reports = []
-    if stat == "step":
+    if kind == "STEP":
         pre = initial_beta(ctx)
         beta_tilde = pre.theta_hat.beta
         reports.append(stepwise_beta(ctx, beta_tilde, theta0.beta, args.level, args.threshold))
@@ -153,20 +163,7 @@ def cmd_test(args) -> int:
         )
     else:
         fit = mqle(ctx)
-        theta_hat = fit.theta_hat
-        if stat == "t":
-            reports.append(t_statistic(ctx, theta_hat, theta0, args.level, args.threshold))
-        elif stat == "gqlrt":
-            reports.append(gqlrt_statistic(ctx, theta_hat, theta0, args.level, args.threshold))
-        elif stat == "wald":
-            reports.append(wald_statistic(ctx, theta_hat, theta0, args.level, args.threshold))
-        elif stat == "rao":
-            reports.append(rao_statistic(ctx, theta_hat, theta0, args.level, args.threshold))
-        else:
-            reports.append(
-                phi_divergence_statistic(ctx, theta_hat, theta0, stat.upper(),
-                                         args.level, args.threshold)
-            )
+        reports.append(_report(kind, ctx, fit.theta_hat, theta0, args.level, args.threshold))
 
     rows = [report_csv_row(r, path.n, path.delta) for r in reports]
     print(report_csv_header())
@@ -224,29 +221,32 @@ def parse_config_file(path) -> ExperimentConfig:
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
 
+    def number(key, convert, default=None):
+        return _number(values.get(key, default), convert, f"{path}:{key}")
+
+    def floats(key):
+        return np.array(_parse_floats(values[key], f"{path}:{key}"))
+
     box = None
     if ("model.box.lower" in values) != ("model.box.upper" in values):
         raise ConfigError("model.box.lower and model.box.upper must be given together")
     if "model.box.lower" in values:
-        box = ParamBox(
-            np.array(_parse_floats(values["model.box.lower"])),
-            np.array(_parse_floats(values["model.box.upper"])),
-        )
+        box = ParamBox(floats("model.box.lower"), floats("model.box.upper"))
     statistics = tuple(
-        s.strip().upper() for s in values.get("mc.statistics", "T,GQLRT,WALD,RAO,AKL,BS").split(",")
+        s.strip().upper() for s in values.get("mc.statistics", ",".join(_STATISTICS)).split(",")
     )
     return ExperimentConfig(
         model_id=values["model.id"],
-        theta0=_parse_theta(values["model.theta0"]),
-        n=int(values["sim.n"]),
-        h_grid=tuple(_parse_floats(values["mc.h_grid"])),
-        replications=int(values["mc.replications"]),
-        master_seed=int(values["mc.master_seed"]),
-        level=float(values.get("mc.level", "0.05")),
+        theta0=_parse_theta(values["model.theta0"], f"{path}:model.theta0"),
+        n=number("sim.n", int),
+        h_grid=tuple(floats("mc.h_grid")),
+        replications=number("mc.replications", int),
+        master_seed=number("mc.master_seed", int),
+        level=number("mc.level", float, "0.05"),
         statistics=statistics,
         threshold_mode=values.get("mc.threshold_mode", "empirical"),
-        refine=int(values.get("sim.refine", "30")),
-        x0=float(values.get("sim.x0", "1.0")),
+        refine=number("sim.refine", int, "30"),
+        x0=number("sim.x0", float, "1.0"),
         box=box,
     )
 

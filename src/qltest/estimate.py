@@ -37,16 +37,20 @@ _CHUNK_VALUES = 8192
 _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 _NONZDELT, _ZDELT = 0.05, 0.00025
 
+# Nelder-Mead tolerances on x and f
+_NM_XATOL, _NM_FATOL = 1e-4, 1e-8
+
+# L-BFGS-B polish: iteration cap and relative objective tolerance; a fit
+# converged when its largest FD gradient entry is <= _GRAD_TOL * (1 + |f|)
+_POLISH_MAXITER = 500
+_OBJ_REL_TOL = 1e-10
+_GRAD_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class FitOptions:
     n_starts: int = 8
     polish_top: int = 2
-    nm_xatol: float = 1e-4
-    nm_fatol: float = 1e-8
-    polish_maxiter: int = 500
-    grad_tol: float = 1e-6
-    obj_rel_tol: float = 1e-10
 
 
 @dataclass(frozen=True)
@@ -248,10 +252,10 @@ def _nelder_mead(f_rows, x0, lower, upper, xatol, fatol, maxfev):
     return sim[:, 0].copy(), fsim.min(axis=1), nit
 
 
-def _search(f_rows, starts, lower, upper, opts: FitOptions):
+def _search(f_rows, starts, lower, upper):
     """The Nelder-Mead stage from every start (rows of ``starts``) at once."""
     maxfev = 200 * lower.size
-    return _nelder_mead(f_rows, starts, lower, upper, opts.nm_xatol, opts.nm_fatol, maxfev)
+    return _nelder_mead(f_rows, starts, lower, upper, _NM_XATOL, _NM_FATOL, maxfev)
 
 
 def _polish(f, search, lower, upper, opts: FitOptions):
@@ -293,7 +297,7 @@ def _polish(f, search, lower, upper, opts: FitOptions):
             method="L-BFGS-B",
             jac=jac,
             bounds=list(zip(plo, phi)),
-            options=dict(maxiter=opts.polish_maxiter, ftol=opts.obj_rel_tol, gtol=1e-9),
+            options=dict(maxiter=_POLISH_MAXITER, ftol=_OBJ_REL_TOL, gtol=1e-9),
         )
         iterations += res.nit
         cand = (res.fun, idx, res.x)
@@ -306,7 +310,7 @@ def _polish(f, search, lower, upper, opts: FitOptions):
     if not at_boundary:
         try:
             g = fd_gradient(f, x, lower, upper)
-            converged = bool(np.max(np.abs(g)) <= opts.grad_tol * (1.0 + abs(fun)))
+            converged = bool(np.max(np.abs(g)) <= _GRAD_TOL * (1.0 + abs(fun)))
         except BoundaryError:
             at_boundary = True
     return x, float(fun), converged, iterations, len(funs), at_boundary
@@ -314,7 +318,7 @@ def _polish(f, search, lower, upper, opts: FitOptions):
 
 def _minimize_box(f, f_rows, starts, lower, upper, opts: FitOptions):
     """Lockstep Nelder-Mead from ``starts``, then the polish of ``f``."""
-    search = _search(f_rows, np.array(starts), lower, upper, opts)
+    search = _search(f_rows, np.array(starts), lower, upper)
     return _polish(f, search, lower, upper, opts)
 
 
@@ -355,7 +359,7 @@ def mqle_search(ctxs, opts: FitOptions = FitOptions()):
     counts = [len(s) for s in starts]
     row_ctx = np.repeat(np.arange(len(ctxs)), counts)
     f_rows = _ql_rows(ctxs, row_ctx, lambda v: ParamVector._wrap(v[:m1], v[m1:]))
-    x, fun, nit = _search(f_rows, np.concatenate(starts), box.lower, box.upper, opts)
+    x, fun, nit = _search(f_rows, np.concatenate(starts), box.lower, box.upper)
     cuts = np.cumsum(counts)[:-1]
     return list(zip(np.split(x, cuts), np.split(fun, cuts), np.split(nit, cuts)))
 

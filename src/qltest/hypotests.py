@@ -6,13 +6,21 @@ parameter.  Competitors: quasi-likelihood ratio, Wald, Rao score and two
 phi-divergences (approximate Kullback-Leibler and the Balakrishnan-
 Sanghvi ratio), plus the stepwise diffusion-then-drift pair.  All are
 calibrated against chi-square limits or an empirical threshold.
+
+The six statistics a power table can tabulate (T, GQLRT, WALD, RAO, AKL,
+BS) are defined once, in ``_STATISTICS``: each kind's chi-square flag and
+one value formula over ``_Pieces``, the per-path terms, information, score
+and phi log-ratios, each computed on first use.  The public functions, the
+Monte Carlo harness and the CLI all evaluate a kind through that registry;
+GQLRT is the sum of the per-observation differences 2 sum(l_i(theta0) -
+l_i(theta_hat)).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,11 +45,6 @@ __all__ = [
     "report_csv_row",
 ]
 
-STATISTIC_KINDS = ("T", "GQLRT", "WALD", "RAO", "AKL", "BS", "STEP_BETA", "STEP_ALPHA")
-
-# kinds whose null law is chi-square, so an asymptotic p-value exists
-_CHI2_CALIBRATED = {"T", "GQLRT", "WALD", "RAO", "AKL", "STEP_BETA", "STEP_ALPHA"}
-
 _LOG_RATIO_CAP = 300.0
 
 
@@ -58,14 +61,25 @@ class TestReport:
     saturated_terms: int = 0
 
 
+def _chi2_calibrated(kind) -> bool:
+    """Whether the null law of ``kind`` is chi-square; the stepwise kinds,
+    which no power table tabulates, are."""
+    return kind not in _STATISTICS or _STATISTICS[kind].chi2
+
+
+def _chi2_threshold(kind, level, df) -> float:
+    """The chi-square (1 - level)-quantile that calibrates ``kind``."""
+    if not _chi2_calibrated(kind):
+        raise ConfigError(f"{kind} has no asymptotic calibration; supply an empirical threshold")
+    return chi2_quantile(1.0 - level, df)
+
+
 def _finish(kind, stat, df, level, threshold, theta_hat, theta_null, saturated=0):
     if not math.isfinite(stat):
         raise StatisticError(f"{kind} statistic is non-finite")
     if threshold is None:
-        if kind not in _CHI2_CALIBRATED:
-            raise ConfigError(f"{kind} has no asymptotic calibration; supply an empirical threshold")
-        threshold = chi2_quantile(1.0 - level, df)
-    p_value = 1.0 - chi2_cdf(stat, df) if kind in _CHI2_CALIBRATED else math.nan
+        threshold = _chi2_threshold(kind, level, df)
+    p_value = 1.0 - chi2_cdf(stat, df) if _chi2_calibrated(kind) else math.nan
     return TestReport(
         kind=kind,
         statistic=float(stat),
@@ -96,49 +110,135 @@ def _rate_sqrt(ctx: QLContext) -> np.ndarray:
     )
 
 
-def t_statistic(ctx, theta_hat, theta0, level=0.05, threshold=None) -> TestReport:
-    """n times the empirical L2-distance between fitted and null terms."""
-    stat = ctx.path.n * empirical_l2_distance(ctx, theta_hat, theta0)
-    df = ctx.model.m1 + ctx.model.m2
-    return _finish("T", stat, df, level, threshold, theta_hat, theta0)
-
-
-def gqlrt_statistic(ctx, theta_hat, theta0, level=0.05, threshold=None) -> TestReport:
-    """Quasi-likelihood ratio, oriented to be nonnegative at the minimizer."""
-    stat = 2.0 * float(
-        np.sum(ql_terms(ctx, theta0)) - np.sum(ql_terms(ctx, theta_hat))
-    )
-    df = ctx.model.m1 + ctx.model.m2
-    return _finish("GQLRT", stat, df, level, threshold, theta_hat, theta0)
-
-
-def wald_statistic(ctx, theta_hat, theta0, level=0.05, threshold=None) -> TestReport:
-    """Rate-scaled quadratic form in (theta_hat - theta0)."""
-    info = observed_info(ctx, theta_hat).full()
-    if not np.all(np.isfinite(info)):
-        raise StatisticError("observed information is non-finite")
-    z = _rate_sqrt(ctx) * (theta_hat.full - theta0.full)
-    stat = float(z @ info @ z)
-    df = ctx.model.m1 + ctx.model.m2
-    return _finish("WALD", stat, df, level, threshold, theta_hat, theta0)
-
-
-def rao_statistic(ctx, theta_hat, theta0, level=0.05, threshold=None) -> TestReport:
-    """Score statistic; theta_hat enters only through the information."""
-    info = observed_info(ctx, theta_hat).full()
-    if not np.all(np.isfinite(info)) or np.linalg.cond(info) > 1e12:
-        raise RaoUndefinedError("observed information matrix is singular")
-    score = ql_grad(ctx, theta0) / _rate_sqrt(ctx)
-    stat = float(score @ np.linalg.solve(info, score))
-    df = ctx.model.m1 + ctx.model.m2
-    return _finish("RAO", stat, df, level, threshold, theta_hat, theta0)
-
-
 def _phi_ratios(ctx, theta_hat, theta0, cap=_LOG_RATIO_CAP):
     logr = ql_terms(ctx, theta0) - ql_terms(ctx, theta_hat)
     saturated = int(np.sum(np.abs(logr) > cap))
     logr = np.clip(logr, -cap, cap)
     return logr, np.exp(logr), saturated
+
+
+class _Pieces:
+    """What the tabulated statistics are made of, on one path, fit and null.
+
+    ``diff`` holds l_i(theta0) - l_i(theta_hat), ``info`` the observed
+    information at theta_hat, ``score`` the rate-scaled gradient at theta0
+    and ``phi`` the capped log-ratios, ratios and saturated count.  Each is
+    computed on first use with the callables the caller passes in, so the
+    calls go through the caller's module bindings, and at most once: a piece
+    that raised raises the same error again.
+    """
+
+    def __init__(self, ctx, theta_hat, theta0, terms, info, grad, phi_ratios):
+        self.ctx, self.theta_hat, self.theta0 = ctx, theta_hat, theta0
+        self._make = {
+            "diff": lambda: terms(ctx, theta0) - terms(ctx, theta_hat),
+            "info": lambda: info(ctx, theta_hat).full(),
+            "score": lambda: grad(ctx, theta0) / _rate_sqrt(ctx),
+            "phi": lambda: phi_ratios(ctx, theta_hat, theta0),
+        }
+        self._made = {}
+
+    def _get(self, name):
+        if name not in self._made:
+            try:
+                self._made[name] = (self._make[name](), None)
+            except Exception as exc:
+                self._made[name] = (None, exc)
+        value, exc = self._made[name]
+        if exc is not None:
+            raise exc
+        return value
+
+    diff = property(lambda self: self._get("diff"))
+    info = property(lambda self: self._get("info"))
+    score = property(lambda self: self._get("score"))
+    phi = property(lambda self: self._get("phi"))
+
+    @property
+    def saturated(self) -> int:
+        """Saturated log-ratios, 0 unless a phi-divergence was evaluated."""
+        return self.phi[2] if "phi" in self._made else 0
+
+
+def _t(p: _Pieces) -> float:
+    return p.ctx.path.n * float(np.mean(p.diff * p.diff))
+
+
+def _gqlrt(p: _Pieces) -> float:
+    return 2.0 * float(np.sum(p.diff))
+
+
+def _wald(p: _Pieces) -> float:
+    if not np.all(np.isfinite(p.info)):
+        raise StatisticError("observed information is non-finite")
+    z = _rate_sqrt(p.ctx) * (p.theta_hat.full - p.theta0.full)
+    return float(z @ p.info @ z)
+
+
+def _rao(p: _Pieces) -> float:
+    if not np.all(np.isfinite(p.info)) or np.linalg.cond(p.info) > 1e12:
+        raise RaoUndefinedError("observed information matrix is singular")
+    return float(p.score @ np.linalg.solve(p.info, p.score))
+
+
+def _akl(p: _Pieces) -> float:
+    logr, r, _ = p.phi
+    return 2.0 * float(np.sum(1.0 - r + r * logr))
+
+
+def _bs(p: _Pieces) -> float:
+    _, r, _ = p.phi
+    return 2.0 * float(np.sum(((r - 1.0) / (r + 1.0)) ** 2))
+
+
+@dataclass(frozen=True)
+class _Statistic:
+    chi2: bool  # the null law is chi-square, so an asymptotic calibration exists
+    value: Callable[[_Pieces], float]
+
+
+# the kinds a power table can tabulate, in table order (the stepwise tests
+# are single-shot diagnostics, not power-table columns)
+_STATISTICS = {
+    "T": _Statistic(True, _t),
+    "GQLRT": _Statistic(True, _gqlrt),
+    "WALD": _Statistic(True, _wald),
+    "RAO": _Statistic(True, _rao),
+    "AKL": _Statistic(True, _akl),
+    "BS": _Statistic(False, _bs),
+}
+
+STATISTIC_KINDS = (*_STATISTICS, "STEP_BETA", "STEP_ALPHA")
+
+
+def _report(kind, ctx, theta_hat, theta0, level, threshold) -> TestReport:
+    """The test report of a tabulated kind, its pieces from this module's bindings."""
+    pieces = _Pieces(ctx, theta_hat, theta0, ql_terms, observed_info, ql_grad, _phi_ratios)
+    stat = _STATISTICS[kind].value(pieces)
+    df = ctx.model.m1 + ctx.model.m2
+    return _finish(kind, stat, df, level, threshold, theta_hat, theta0, pieces.saturated)
+
+
+def t_statistic(ctx, theta_hat, theta0, level=0.05, threshold=None) -> TestReport:
+    """n times the empirical L2-distance between fitted and null terms."""
+    ctx.model.check_theta(theta_hat)
+    ctx.model.check_theta(theta0)
+    return _report("T", ctx, theta_hat, theta0, level, threshold)
+
+
+def gqlrt_statistic(ctx, theta_hat, theta0, level=0.05, threshold=None) -> TestReport:
+    """Quasi-likelihood ratio 2 sum(l_i(theta0) - l_i(theta_hat)), >= 0 at the minimizer."""
+    return _report("GQLRT", ctx, theta_hat, theta0, level, threshold)
+
+
+def wald_statistic(ctx, theta_hat, theta0, level=0.05, threshold=None) -> TestReport:
+    """Rate-scaled quadratic form in (theta_hat - theta0)."""
+    return _report("WALD", ctx, theta_hat, theta0, level, threshold)
+
+
+def rao_statistic(ctx, theta_hat, theta0, level=0.05, threshold=None) -> TestReport:
+    """Score statistic; theta_hat enters only through the information."""
+    return _report("RAO", ctx, theta_hat, theta0, level, threshold)
 
 
 def phi_divergence_statistic(
@@ -152,14 +252,7 @@ def phi_divergence_statistic(
     kind = phi_kind.upper()
     if kind not in ("AKL", "BS"):
         raise ConfigError(f"unknown phi-divergence kind {phi_kind!r}")
-    logr, r, saturated = _phi_ratios(ctx, theta_hat, theta0)
-    if kind == "AKL":
-        vals = 1.0 - r + r * logr
-    else:
-        vals = ((r - 1.0) / (r + 1.0)) ** 2
-    stat = 2.0 * float(np.sum(vals))
-    df = ctx.model.m1 + ctx.model.m2
-    return _finish(kind, stat, df, level, threshold, theta_hat, theta0, saturated)
+    return _report(kind, ctx, theta_hat, theta0, level, threshold)
 
 
 def stepwise_beta(ctx, beta_tilde, beta0, level=0.05, threshold=None) -> TestReport:

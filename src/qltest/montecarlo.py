@@ -9,6 +9,13 @@ statistic kind and of h — so results are identical for any worker count
 and the h columns are common-random-number coupled.  The paths of a block
 of replications are simulated as one batch, which gives the same paths as
 one simulation per replication.
+
+The statistics themselves are defined once, in the ``hypotests`` registry;
+the harness evaluates each requested kind from that registry on pieces it
+computes through its own ``ql_terms``, ``observed_info`` and ``ql_grad``
+bindings, with the phi log-ratios taken from ``hypotests._phi_ratios`` once
+per path.  A kind that raises a classified error or gives a non-finite value
+counts as a failed replication.
 """
 
 from __future__ import annotations
@@ -21,17 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    EstimationError,
-    HarnessError,
-    QltestError,
-    RaoUndefinedError,
-    StatisticError,
-)
+from .errors import ConfigError, EstimationError, HarnessError, QltestError
 from .estimate import FitOptions, mqle, mqle_search
-from .hypotests import _phi_ratios, _rate_sqrt
-from .distributions import chi2_quantile
+from .hypotests import _STATISTICS, _Pieces, _chi2_threshold, _phi_ratios
 from .models import ParamBox, ParamVector, make_model
 from .quasilik import QLContext, observed_info, ql_grad, ql_terms
 from .simulate import (
@@ -57,10 +56,6 @@ _FAILURE_BUDGET = 0.05
 # replication.  Anything else is a bug and propagates.
 _STATISTIC_ERRORS = (QltestError, FloatingPointError, np.linalg.LinAlgError)
 
-# statistic kinds the harness can tabulate (stepwise tests are single-shot
-# diagnostics, not power-table columns)
-_TABLE_KINDS = ("T", "GQLRT", "WALD", "RAO", "AKL", "BS")
-
 # multi-start budget per replication; a full default fit is used as
 # fallback when the cheap fit fails
 _MC_FIT_OPTS = FitOptions(n_starts=2, polish_top=1)
@@ -75,7 +70,7 @@ class ExperimentConfig:
     replications: int
     master_seed: int
     level: float = 0.05
-    statistics: tuple = _TABLE_KINDS
+    statistics: tuple = tuple(_STATISTICS)
     threshold_mode: str = "empirical"
     refine: int = 30
     x0: float = 1.0
@@ -86,17 +81,24 @@ class ExperimentConfig:
         object.__setattr__(self, "statistics", tuple(s.upper() for s in self.statistics))
         if 0.0 not in self.h_grid:
             raise ConfigError("h_grid must contain 0 (the null column)")
+        if len(set(self.h_grid)) < len(self.h_grid):
+            raise ConfigError(f"h_grid repeats a value: {self.h_grid}")
         if not 0.0 < self.level < 1.0:
             raise ConfigError("level must lie in (0, 1)")
         if self.replications < 50:
             raise ConfigError("at least 50 replications are required")
-        unknown = set(self.statistics) - set(_TABLE_KINDS)
+        unknown = set(self.statistics) - _STATISTICS.keys()
         if unknown:
             raise ConfigError(f"unsupported statistics for power tables: {sorted(unknown)}")
+        if len(set(self.statistics)) < len(self.statistics):
+            raise ConfigError(f"statistics repeat a kind: {self.statistics}")
         if self.threshold_mode not in ("empirical", "asymptotic"):
             raise ConfigError("threshold_mode must be 'empirical' or 'asymptotic'")
-        if self.threshold_mode == "asymptotic" and "BS" in self.statistics:
-            raise ConfigError("BS has no asymptotic calibration; use empirical thresholds")
+        uncalibrated = [k for k in self.statistics if not _STATISTICS[k].chi2]
+        if self.threshold_mode == "asymptotic" and uncalibrated:
+            raise ConfigError(
+                f"{', '.join(uncalibrated)} has no asymptotic calibration; use empirical thresholds"
+            )
 
     @property
     def delta(self) -> float:
@@ -203,51 +205,18 @@ def local_alternative(theta0: ParamVector, h, n: int, delta: float, box: Optiona
     return theta
 
 
-def _statistic_values(ctx, fit, theta_null, kinds, terms_hat=None, info_full=None):
+def _statistic_values(ctx, fit, theta_null, kinds):
     """Raw statistic values on a shared path and fit; per-kind failures."""
+    pieces = _Pieces(ctx, fit.theta_hat, theta_null, ql_terms, observed_info, ql_grad, _phi_ratios)
     out = {}
-    theta_hat = fit.theta_hat
-    n = ctx.path.n
-    terms_null = ql_terms(ctx, theta_null)
-    if terms_hat is None:
-        terms_hat = ql_terms(ctx, theta_hat)
-    diff = terms_null - terms_hat
-    if info_full is None and ("WALD" in kinds or "RAO" in kinds):
-        try:
-            info_full = observed_info(ctx, theta_hat).full()
-        except _STATISTIC_ERRORS:
-            info_full = None
     for kind in kinds:
         try:
-            if kind == "T":
-                out[kind] = n * float(np.mean(diff * diff))
-            elif kind == "GQLRT":
-                out[kind] = 2.0 * float(np.sum(diff))
-            elif kind == "WALD":
-                if info_full is None or not np.all(np.isfinite(info_full)):
-                    raise StatisticError("observed information unavailable")
-                z = _rate_sqrt(ctx) * (theta_hat.full - theta_null.full)
-                out[kind] = float(z @ info_full @ z)
-            elif kind == "RAO":
-                if (
-                    info_full is None
-                    or not np.all(np.isfinite(info_full))
-                    or np.linalg.cond(info_full) > 1e12
-                ):
-                    raise RaoUndefinedError("observed information singular")
-                score = ql_grad(ctx, theta_null) / _rate_sqrt(ctx)
-                out[kind] = float(score @ np.linalg.solve(info_full, score))
-            elif kind in ("AKL", "BS"):
-                logr, r, _ = _phi_ratios(ctx, theta_hat, theta_null)
-                if kind == "AKL":
-                    vals = 1.0 - r + r * logr
-                else:
-                    vals = ((r - 1.0) / (r + 1.0)) ** 2
-                out[kind] = 2.0 * float(np.sum(vals))
-            if kind in out and not math.isfinite(out[kind]):
-                del out[kind]
-                out[kind + "!fail"] = True
+            value = _STATISTICS[kind].value(pieces)
         except _STATISTIC_ERRORS:
+            value = math.nan
+        if math.isfinite(value):
+            out[kind] = value
+        else:
             out[kind + "!fail"] = True
     return out
 
@@ -375,13 +344,12 @@ def empirical_power(config: ExperimentConfig, workers: int = 1) -> PowerTable:
     null_index = config.h_grid.index(0.0)
     _check_budget(cells[null_index], config.statistics, config.replications)
 
-    df = config.theta0.dim
     thresholds = {}
     for kind in config.statistics:
         if config.threshold_mode == "empirical":
             thresholds[kind] = _null_quantile(cells[null_index], kind, config.level)
         else:
-            thresholds[kind] = chi2_quantile(1.0 - config.level, df)
+            thresholds[kind] = _chi2_threshold(kind, config.level, config.theta0.dim)
 
     epow, failures = {}, {}
     for h_index, h in enumerate(config.h_grid):

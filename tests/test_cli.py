@@ -4,15 +4,19 @@ flat-key config parser."""
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from qltest import SamplePath
+from qltest import ExperimentConfig, SamplePath
 from qltest.cli import (
     EXIT_OK,
+    EXIT_RAO,
     EXIT_USAGE,
     main,
     parse_config_file,
 )
 from qltest.errors import ConfigError
+from qltest.hypotests import _STATISTICS
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +47,21 @@ def test_simulate_bad_theta_exits_2(tmp_path):
         "--n", "50", "--seed", "1", "--out", str(tmp_path / "x.csv"),
     ])
     assert code == EXIT_USAGE
+
+
+def test_non_numeric_theta_exits_2(path_csv, tmp_path, capsys):
+    code = main([
+        "simulate", "--model", "ou", "--theta", "a,b,c",
+        "--n", "50", "--seed", "1", "--out", str(tmp_path / "x.csv"),
+    ])
+    assert code == EXIT_USAGE
+    assert "--theta" in capsys.readouterr().err
+    code = main([
+        "test", "--input", str(path_csv), "--model", "ou",
+        "--null", "0.5,x,0.25", "--stat", "t",
+    ])
+    assert code == EXIT_USAGE
+    assert "--null" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2(tmp_path):
@@ -87,6 +106,21 @@ def test_test_subcommand_step(path_csv, capsys):
     assert kinds == ["STEP_BETA", "STEP_ALPHA"]
 
 
+@pytest.mark.parametrize("stat", [kind.lower() for kind in _STATISTICS] + ["step"])
+def test_test_subcommand_every_stat(path_csv, capsys, stat):
+    argv = ["test", "--input", str(path_csv), "--model", "ou",
+            "--null", "0.5,0.5,0.25", "--stat", stat]
+    if stat == "bs":
+        argv += ["--threshold", "1"]
+    code = main(argv)
+    out = capsys.readouterr().out.strip().splitlines()
+    if stat == "rao" and code == EXIT_RAO:
+        return  # singular information: the score statistic is undefined
+    assert code == EXIT_OK
+    kinds = [line.split(",")[0] for line in out[1:]]
+    assert kinds == (["STEP_BETA", "STEP_ALPHA"] if stat == "step" else [stat.upper()])
+
+
 @pytest.mark.parametrize("bad_row", ["0.1,abc", "0.1", "0.1,2.0,9"])
 def test_estimate_malformed_csv_row_exits_2(tmp_path, bad_row):
     csv_path = tmp_path / "bad.csv"
@@ -102,17 +136,28 @@ def test_bs_without_threshold_exits_2(path_csv):
     assert code == EXIT_USAGE
 
 
+_CONFIG = (
+    "model.id = ou\n"
+    "model.theta0 = 0.5,0.5,0.25\n"
+    "sim.n = 50\n"
+    "mc.replications = 50\n"
+    "mc.h_grid = 0.0,0.5\n"
+    "mc.master_seed = 3\n"
+    "mc.statistics = T\n"
+)
+
+# the optional numeric keys, for the property test
+_FULL_CONFIG = _CONFIG + (
+    "model.box.lower = 0.01,0.01,0.01\n"
+    "model.box.upper = 5,5,5\n"
+    "sim.refine = 30\n"
+    "sim.x0 = 1.0\n"
+    "mc.level = 0.05\n"
+)
+
+
 def _write_config(path, extra=""):
-    path.write_text(
-        "model.id = ou\n"
-        "model.theta0 = 0.5,0.5,0.25\n"
-        "sim.n = 50\n"
-        "mc.replications = 50\n"
-        "mc.h_grid = 0.0,0.5\n"
-        "mc.master_seed = 3\n"
-        "mc.statistics = T\n"
-        + extra
-    )
+    path.write_text(_CONFIG + extra)
 
 
 def test_parse_config_file(tmp_path):
@@ -140,6 +185,38 @@ def test_parse_config_file_errors(tmp_path):
     _write_config(cfg, "model.box.lower = 0.01,0.01,0.01\n")  # upper missing
     with pytest.raises(ConfigError):
         parse_config_file(cfg)
+
+
+def test_non_numeric_config_value_names_the_key(tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(_CONFIG.replace("sim.n = 50", "sim.n = abc"))
+    with pytest.raises(ConfigError, match="sim.n"):
+        parse_config_file(cfg)
+    assert main(["power", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == EXIT_USAGE
+    assert f"{cfg}:sim.n" in capsys.readouterr().err
+
+
+# every key whose value is read as a number or a list of numbers
+_NUMERIC_KEYS = ("model.theta0", "model.box.lower", "model.box.upper", "sim.n", "sim.refine",
+                 "sim.x0", "mc.replications", "mc.level", "mc.h_grid", "mc.master_seed")
+_NUMBER = r"-?[0-9]{1,3}(\.[0-9]{0,3})?(e-?[0-9])?"
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    key=st.sampled_from(_NUMERIC_KEYS),
+    text=st.text(st.characters(blacklist_categories=("Cs",)), max_size=24)
+    | st.from_regex(rf"{_NUMBER}(,{_NUMBER}){{0,3}}", fullmatch=True),
+)
+def test_numeric_config_value_parses_or_raises_config_error(tmp_path_factory, key, text):
+    cfg = tmp_path_factory.mktemp("prop") / "study.cfg"
+    lines = [line for line in _FULL_CONFIG.splitlines() if not line.startswith(key + " ")]
+    cfg.write_text("\n".join(lines + [f"{key} = {text}"]) + "\n", encoding="utf-8")
+    try:
+        config = parse_config_file(cfg)
+    except ConfigError:
+        return
+    assert isinstance(config, ExperimentConfig)
 
 
 def test_power_subcommand(tmp_path):

@@ -28,6 +28,8 @@ from qltest import (
 from qltest.estimate import (
     _BIG,
     _CHUNK_VALUES,
+    _NM_FATOL,
+    _NM_XATOL,
     _heuristic_start,
     _nelder_mead,
     _polish,
@@ -227,7 +229,7 @@ def _reference_box(f, starts, lower, upper, opts):
     f_safe = _safe(f)
     results = _scipy_rows([f_safe] * len(starts), starts, lower, upper, maxfev)
     # scipy runs with the fit's own tolerances
-    assert (opts.nm_xatol, opts.nm_fatol) == (XATOL, FATOL)
+    assert (_NM_XATOL, _NM_FATOL) == (XATOL, FATOL)
     search = (np.array([r.x for r in results]), np.array([r.fun for r in results]),
               np.array([r.nit for r in results]))
     return _polish(f, search, lower, upper, opts)

@@ -83,6 +83,10 @@ def test_config_validation(theta0_ou):
     with pytest.raises(ConfigError):
         ExperimentConfig(h_grid=(0.0,), statistics=("BS",),
                          threshold_mode="asymptotic", **kw)
+    with pytest.raises(ConfigError, match="h_grid repeats"):
+        ExperimentConfig(h_grid=(0.0, 0.0), **kw)
+    with pytest.raises(ConfigError, match="repeat a kind"):
+        ExperimentConfig(h_grid=(0.0,), statistics=("T", "t"), **kw)
 
 
 def test_config_delta_schedule(theta0_ou):
