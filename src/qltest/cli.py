@@ -221,20 +221,26 @@ def parse_config_file(path) -> ExperimentConfig:
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
 
-    def number(key, convert, default=None):
-        return _number(values.get(key, default), convert, f"{path}:{key}")
+    def number(key, convert):
+        return _number(values[key], convert, f"{path}:{key}")
 
     def floats(key):
         return np.array(_parse_floats(values[key], f"{path}:{key}"))
 
-    box = None
     if ("model.box.lower" in values) != ("model.box.upper" in values):
         raise ConfigError("model.box.lower and model.box.upper must be given together")
+    # the optional keys present in the file; ExperimentConfig holds the defaults
+    optional = {}
     if "model.box.lower" in values:
-        box = ParamBox(floats("model.box.lower"), floats("model.box.upper"))
-    statistics = tuple(
-        s.strip().upper() for s in values.get("mc.statistics", ",".join(_STATISTICS)).split(",")
-    )
+        optional["box"] = ParamBox(floats("model.box.lower"), floats("model.box.upper"))
+    if "mc.statistics" in values:
+        optional["statistics"] = tuple(s.strip() for s in values["mc.statistics"].split(","))
+    if "mc.threshold_mode" in values:
+        optional["threshold_mode"] = values["mc.threshold_mode"]
+    for key, field, convert in (("mc.level", "level", float), ("sim.refine", "refine", int),
+                                ("sim.x0", "x0", float)):
+        if key in values:
+            optional[field] = number(key, convert)
     return ExperimentConfig(
         model_id=values["model.id"],
         theta0=_parse_theta(values["model.theta0"], f"{path}:model.theta0"),
@@ -242,12 +248,7 @@ def parse_config_file(path) -> ExperimentConfig:
         h_grid=tuple(floats("mc.h_grid")),
         replications=number("mc.replications", int),
         master_seed=number("mc.master_seed", int),
-        level=number("mc.level", float, "0.05"),
-        statistics=statistics,
-        threshold_mode=values.get("mc.threshold_mode", "empirical"),
-        refine=number("sim.refine", int, "30"),
-        x0=number("sim.x0", float, "1.0"),
-        box=box,
+        **optional,
     )
 
 

@@ -79,7 +79,8 @@ def _finish(kind, stat, df, level, threshold, theta_hat, theta_null, saturated=0
         raise StatisticError(f"{kind} statistic is non-finite")
     if threshold is None:
         threshold = _chi2_threshold(kind, level, df)
-    p_value = 1.0 - chi2_cdf(stat, df) if _chi2_calibrated(kind) else math.nan
+    # a negative value lies below the support of the chi-square law: p-value 1
+    p_value = 1.0 - chi2_cdf(max(stat, 0.0), df) if _chi2_calibrated(kind) else math.nan
     return TestReport(
         kind=kind,
         statistic=float(stat),
@@ -110,10 +111,10 @@ def _rate_sqrt(ctx: QLContext) -> np.ndarray:
     )
 
 
-def _phi_ratios(ctx, theta_hat, theta0, cap=_LOG_RATIO_CAP):
+def _phi_ratios(ctx, theta_hat, theta0):
     logr = ql_terms(ctx, theta0) - ql_terms(ctx, theta_hat)
-    saturated = int(np.sum(np.abs(logr) > cap))
-    logr = np.clip(logr, -cap, cap)
+    saturated = int(np.sum(np.abs(logr) > _LOG_RATIO_CAP))
+    logr = np.clip(logr, -_LOG_RATIO_CAP, _LOG_RATIO_CAP)
     return logr, np.exp(logr), saturated
 
 

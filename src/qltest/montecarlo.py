@@ -10,12 +10,17 @@ and the h columns are common-random-number coupled.  The paths of a block
 of replications are simulated as one batch, which gives the same paths as
 one simulation per replication.
 
+An h cell is one (R, len(statistics)) float matrix, rows in replication
+order.  NaN marks a failed replication of a kind: no path (every simulation
+attempt left the domain), no fit, a classified error or a non-finite value.
+A column's NaN count is its failure count; the threshold and the rejection
+rate read its other values.
+
 The statistics themselves are defined once, in the ``hypotests`` registry;
 the harness evaluates each requested kind from that registry on pieces it
 computes through its own ``ql_terms``, ``observed_info`` and ``ql_grad``
 bindings, with the phi log-ratios taken from ``hypotests._phi_ratios`` once
-per path.  A kind that raises a classified error or gives a non-finite value
-counts as a failed replication.
+per path.
 """
 
 from __future__ import annotations
@@ -99,6 +104,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"{', '.join(uncalibrated)} has no asymptotic calibration; use empirical thresholds"
             )
+        model = self.model()  # an unknown model id or a bad box fails here
+        model.check_theta(self.theta0)
+        if not model.in_domain(self.x0):
+            raise ConfigError(
+                f"x0 = {self.x0!r} lies outside the open state domain {model.state_domain}")
 
     @property
     def delta(self) -> float:
@@ -157,18 +167,7 @@ class PowerTable:
         if not rows:
             raise ConfigError("empty power table CSV")
         first = rows[0]
-        h_grid, statistics = [], []
-        thresholds, epow, failures = {}, {}, {}
-        for row in rows:
-            h = float(row["h"])
-            kind = row["statistic"]
-            if h not in h_grid:
-                h_grid.append(h)
-            if kind not in statistics:
-                statistics.append(kind)
-            thresholds[kind] = float(row["threshold"])
-            epow[(h, kind)] = float(row["epow"])
-            failures[(h, kind)] = int(row["failures"])
+        cells = {(float(row["h"]), row["statistic"]): row for row in rows}
         return cls(
             model_id=first["model"],
             n=int(first["n"]),
@@ -176,11 +175,11 @@ class PowerTable:
             replications=int(first["R"]),
             level=float(first["level"]),
             threshold_mode=first["threshold_mode"],
-            h_grid=tuple(h_grid),
-            statistics=tuple(statistics),
-            thresholds=thresholds,
-            epow=epow,
-            failures=failures,
+            h_grid=tuple(dict.fromkeys(h for h, _ in cells)),
+            statistics=tuple(dict.fromkeys(kind for _, kind in cells)),
+            thresholds={kind: float(row["threshold"]) for (_, kind), row in cells.items()},
+            epow={key: float(row["epow"]) for key, row in cells.items()},
+            failures={key: int(row["failures"]) for key, row in cells.items()},
         )
 
 
@@ -206,19 +205,17 @@ def local_alternative(theta0: ParamVector, h, n: int, delta: float, box: Optiona
 
 
 def _statistic_values(ctx, fit, theta_null, kinds):
-    """Raw statistic values on a shared path and fit; per-kind failures."""
+    """Raw statistic values on a shared path and fit, in ``kinds`` order;
+    NaN where a kind raised a classified error or is non-finite."""
     pieces = _Pieces(ctx, fit.theta_hat, theta_null, ql_terms, observed_info, ql_grad, _phi_ratios)
-    out = {}
-    for kind in kinds:
+    row = np.full(len(kinds), np.nan)
+    for j, kind in enumerate(kinds):
         try:
-            value = _STATISTICS[kind].value(pieces)
+            row[j] = _STATISTICS[kind].value(pieces)
         except _STATISTIC_ERRORS:
-            value = math.nan
-        if math.isfinite(value):
-            out[kind] = value
-        else:
-            out[kind + "!fail"] = True
-    return out
+            pass
+    row[~np.isfinite(row)] = np.nan
+    return row
 
 
 def _replication_seed(master_seed: int, rep: int) -> int:
@@ -227,13 +224,14 @@ def _replication_seed(master_seed: int, rep: int) -> int:
 
 
 def _replicate_block(args):
-    """Replications ``reps`` of one h cell, in order.
+    """The rows of replications ``reps`` of one h cell, in order.
 
     Their paths are simulated as one batch at the alternative, the
     Nelder-Mead starts of all their fits run as one lockstep search, and
     then each path's fit is polished and every kind evaluated on it.  Seeds
     depend only on (master_seed, rep): the h cells are coupled by common
-    random numbers, as are all statistic kinds.
+    random numbers, as are all statistic kinds.  A path that failed every
+    simulation attempt leaves its row NaN.
     """
     config, h_index, reps = args
     model = config.model()
@@ -242,36 +240,30 @@ def _replicate_block(args):
     # seed is unused: each replication brings its own
     sim = SimConfig(n=config.n, delta=delta, x0=config.x0, seed=0, refine=config.refine)
     seeds = [_replication_seed(config.master_seed, rep) for rep in reps]
-    try:
-        paths = euler_maruyama(model, theta_sim, sim, seeds)
-    except ConfigError:
-        paths = [None] * len(reps)
-    ctxs = [QLContext(model, path) if isinstance(path, SamplePath) else None for path in paths]
-    fitted = [ctx for ctx in ctxs if ctx is not None]
-    searches = iter(mqle_search(fitted, _MC_FIT_OPTS) if fitted else ())
-    return [
-        _fit_and_evaluate(config, ctx, None if ctx is None else next(searches))
-        for ctx in ctxs
-    ]
+    paths = euler_maruyama(model, theta_sim, sim, seeds)
+    rows = np.full((len(reps), len(config.statistics)), np.nan)
+    simulated = [i for i, path in enumerate(paths) if isinstance(path, SamplePath)]
+    ctxs = [QLContext(model, paths[i]) for i in simulated]
+    searches = mqle_search(ctxs, _MC_FIT_OPTS) if ctxs else []
+    for i, ctx, search in zip(simulated, ctxs, searches):
+        rows[i] = _fit_and_evaluate(config, ctx, search)
+    return rows
 
 
 def _fit_and_evaluate(config: ExperimentConfig, ctx, search):
-    """The record of one replication; every kind fails without a usable path or fit."""
-    failed = {kind + "!fail": True for kind in config.statistics}
-    if ctx is None:
-        return failed
+    """The row of one replication; NaN throughout when no fit succeeds."""
     try:
         try:
             fit = mqle(ctx, _MC_FIT_OPTS, search=search)
         except EstimationError:
             fit = mqle(ctx)  # full multi-start fallback
     except (EstimationError, ConfigError):
-        return failed
+        return math.nan
     return _statistic_values(ctx, fit, config.theta0, config.statistics)
 
 
 def _collect_cell(config: ExperimentConfig, h_index: int, workers: int = 1):
-    """All replications of one h cell, ordered by replication index.
+    """The value matrix of one h cell, rows in replication order.
 
     With several workers each takes one contiguous block of replications,
     so every batch stays as large as the split allows.
@@ -281,17 +273,8 @@ def _collect_cell(config: ExperimentConfig, h_index: int, workers: int = 1):
         return _replicate_block((config, h_index, reps))
     block = -(-len(reps) // workers)
     tasks = [(config, h_index, reps[i : i + block]) for i in range(0, len(reps), block)]
-    results = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_replicate_block, tasks):
-            results.extend(part)
-    return results
-
-
-def _cell_stats(records, kind):
-    values = [r[kind] for r in records if kind in r]
-    failures = sum(1 for r in records if kind + "!fail" in r)
-    return values, failures
+        return np.concatenate(list(pool.map(_replicate_block, tasks)))
 
 
 def _empirical_quantile(values, level):
@@ -303,11 +286,9 @@ def _empirical_quantile(values, level):
     return ordered[rank - 1]
 
 
-def _check_budget(records, kinds, replications):
-    counts = {}
-    for kind in kinds:
-        _, failures = _cell_stats(records, kind)
-        counts[kind] = failures
+def _check_budget(cell, kinds, replications):
+    """Failed replications per kind, the NaN count of its column."""
+    counts = dict(zip(kinds, np.isnan(cell).sum(axis=0).tolist()))
     worst = max(counts.values()) if counts else 0
     if worst > _FAILURE_BUDGET * replications:
         raise HarnessError(
@@ -317,48 +298,37 @@ def _check_budget(records, kinds, replications):
     return counts
 
 
-def _null_quantile(records, kind, level):
-    """Empirical (1 - level)-quantile of ``kind`` over the null cell's records."""
-    values, _ = _cell_stats(records, kind)
-    return float(_empirical_quantile(values, level))
-
-
 def null_threshold(config: ExperimentConfig, kind: str, workers: int = 1) -> float:
     """Empirical (1 - level)-quantile of the statistic under the null.
 
     Only the null cell is run, and only ``kind`` is evaluated on it; a kind
     the harness cannot tabulate raises ConfigError.
     """
-    config = replace(config, statistics=(kind,), threshold_mode="empirical")
-    records = _collect_cell(config, config.h_grid.index(0.0), workers)
-    _check_budget(records, config.statistics, config.replications)
-    return _null_quantile(records, config.statistics[0], config.level)
+    config = replace(config, h_grid=(0.0,), statistics=(kind,), threshold_mode="empirical")
+    return empirical_power(config, workers).thresholds[config.statistics[0]]
 
 
 def empirical_power(config: ExperimentConfig, workers: int = 1) -> PowerTable:
     """Rejection frequencies over the h grid for every requested kind."""
-    cells = {
-        h_index: _collect_cell(config, h_index, workers)
-        for h_index in range(len(config.h_grid))
-    }
-    null_index = config.h_grid.index(0.0)
-    _check_budget(cells[null_index], config.statistics, config.replications)
+    cells = [_collect_cell(config, h_index, workers) for h_index in range(len(config.h_grid))]
+    null = cells[config.h_grid.index(0.0)]
+    _check_budget(null, config.statistics, config.replications)
 
     thresholds = {}
-    for kind in config.statistics:
+    for j, kind in enumerate(config.statistics):
         if config.threshold_mode == "empirical":
-            thresholds[kind] = _null_quantile(cells[null_index], kind, config.level)
+            column = null[~np.isnan(null[:, j]), j]
+            thresholds[kind] = float(_empirical_quantile(column, config.level))
         else:
             thresholds[kind] = _chi2_threshold(kind, config.level, config.theta0.dim)
 
     epow, failures = {}, {}
-    for h_index, h in enumerate(config.h_grid):
-        records = cells[h_index]
-        counts = _check_budget(records, config.statistics, config.replications)
-        for kind in config.statistics:
-            values, _ = _cell_stats(records, kind)
-            rejections = sum(1 for v in values if v > thresholds[kind])
-            epow[(h, kind)] = rejections / len(values) if values else math.nan
+    for h, cell in zip(config.h_grid, cells):
+        counts = _check_budget(cell, config.statistics, config.replications)
+        for j, kind in enumerate(config.statistics):
+            column = cell[~np.isnan(cell[:, j]), j]
+            rejections = int(np.sum(column > thresholds[kind]))
+            epow[(h, kind)] = rejections / column.size if column.size else math.nan
             failures[(h, kind)] = counts[kind]
 
     return PowerTable(

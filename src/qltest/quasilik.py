@@ -107,8 +107,8 @@ def ql_total(ctx: QLContext, theta: ParamVector) -> float:
     return float(ql_terms(ctx, theta).sum())
 
 
-def _steps(x: np.ndarray, rel_step: float) -> np.ndarray:
-    return rel_step * np.maximum(1.0, np.abs(x))
+def _steps(x: np.ndarray) -> np.ndarray:
+    return FD_REL_STEP * np.maximum(1.0, np.abs(x))
 
 
 def _check_interior(x, h, lower, upper):
@@ -128,10 +128,10 @@ def _check_interior(x, h, lower, upper):
             )
 
 
-def fd_gradient(f, x, lower=None, upper=None, rel_step: float = FD_REL_STEP) -> np.ndarray:
-    """Central-difference gradient with per-coordinate step rel_step*max(1,|x_j|)."""
+def fd_gradient(f, x, lower=None, upper=None) -> np.ndarray:
+    """Central-difference gradient with per-coordinate step FD_REL_STEP*max(1,|x_j|)."""
     x = np.asarray(x, dtype=float)
-    h = _steps(x, rel_step)
+    h = _steps(x)
     _check_interior(x, h, lower, upper)
     g = np.empty_like(x)
     for j in range(x.size):
@@ -141,10 +141,10 @@ def fd_gradient(f, x, lower=None, upper=None, rel_step: float = FD_REL_STEP) -> 
     return g
 
 
-def fd_hessian(f, x, lower=None, upper=None, rel_step: float = FD_REL_STEP) -> np.ndarray:
+def fd_hessian(f, x, lower=None, upper=None) -> np.ndarray:
     """Central-difference Hessian, symmetrized as (H + H') / 2."""
     x = np.asarray(x, dtype=float)
-    h = _steps(x, rel_step)
+    h = _steps(x)
     _check_interior(x, h, lower, upper)
     d = x.size
     H = np.empty((d, d))
@@ -220,7 +220,7 @@ def observed_info(ctx: QLContext, theta: ParamVector) -> InfoMatrix:
     )
 
 
-def fisher_info(ctx: QLContext, theta: ParamVector, rel_step: float = FD_REL_STEP) -> InfoMatrix:
+def fisher_info(ctx: QLContext, theta: ParamVector) -> InfoMatrix:
     """Empirical Fisher information (block-diagonal by construction).
 
     Drift block: (1/n) sum d_a b d_a b' / c; diffusion block:
@@ -232,7 +232,7 @@ def fisher_info(ctx: QLContext, theta: ParamVector, rel_step: float = FD_REL_STE
     xprev = ctx.xprev
     c = np.asarray(model.diffsq(theta, xprev), dtype=float)
 
-    ha = _steps(theta.alpha, rel_step)
+    ha = _steps(theta.alpha)
     db = np.empty((m1, xprev.size))
     for j in range(m1):
         e = np.zeros(m1)
@@ -242,7 +242,7 @@ def fisher_info(ctx: QLContext, theta: ParamVector, rel_step: float = FD_REL_STE
             - np.asarray(model.drift(theta.replace_alpha(theta.alpha - e), xprev), dtype=float)
         ) / (2.0 * ha[j])
 
-    hb = _steps(theta.beta, rel_step)
+    hb = _steps(theta.beta)
     dcb = np.empty((m2, xprev.size))
     for j in range(m2):
         e = np.zeros(m2)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qltest import ExperimentConfig, SamplePath
+from qltest import ExperimentConfig, ParamVector, SamplePath
 from qltest.cli import (
     EXIT_OK,
     EXIT_RAO,
@@ -171,6 +171,19 @@ def test_parse_config_file(tmp_path):
     assert config.statistics == ("T",)
 
 
+def test_parse_config_file_required_keys_only(tmp_path):
+    # the optional keys take the dataclass defaults
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(_CONFIG.replace("mc.statistics = T\n", ""))
+    expected = ExperimentConfig(model_id="ou", theta0=ParamVector([0.5, 0.5], [0.25]), n=50,
+                                h_grid=(0.0, 0.5), replications=50, master_seed=3)
+    config = parse_config_file(cfg)
+    for field in ("model_id", "n", "h_grid", "replications", "master_seed", "level",
+                  "statistics", "threshold_mode", "refine", "x0", "box"):
+        assert getattr(config, field) == getattr(expected, field), field
+    assert config.theta0.full.tolist() == [0.5, 0.5, 0.25]
+
+
 def test_parse_config_file_errors(tmp_path):
     cfg = tmp_path / "bad.cfg"
     _write_config(cfg, "mc.bogus = 1\n")
@@ -228,6 +241,14 @@ def test_power_subcommand(tmp_path):
     assert text[0].startswith("model,n,delta,")
     assert len(text) == 1 + 2  # two h rows, one statistic
     assert (tmp_path / "table.csv.config.txt").exists()
+
+
+def test_power_x0_outside_the_domain_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(_CONFIG.replace("model.id = ou", "model.id = cir")
+                   .replace("0.5,0.5,0.25", "0.5,0.5,0.125") + "sim.x0 = -1\n")
+    assert main(["power", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == EXIT_USAGE
+    assert "x0" in capsys.readouterr().err
 
 
 def test_power_bad_config_exits_2(tmp_path):

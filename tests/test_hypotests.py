@@ -9,9 +9,12 @@ import pytest
 from qltest import (
     ConfigError,
     ParamVector,
+    QLContext,
+    SimConfig,
     chi2_cdf,
     chi2_quantile,
     empirical_l2_distance,
+    euler_maruyama,
     gqlrt_statistic,
     initial_beta,
     phi_divergence_statistic,
@@ -69,6 +72,17 @@ def test_statistics_vanish_at_null(ou_ctx_1000, theta0_ou):
 
 def test_gqlrt_nonnegative_at_minimizer(ou_ctx_1000, theta0_ou, theta_hat):
     assert gqlrt_statistic(ou_ctx_1000, theta_hat, theta0_ou).statistic >= -1e-8
+
+
+def test_negative_chi2_statistic_has_p_value_one(ou_model, theta0_ou):
+    # at a point with a lower objective than theta0's, GQLRT is negative:
+    # below a nonnegative law, so p = 1 and no rejection
+    sim = SimConfig(n=100, delta=100 ** (-2 / 3), x0=1.0, seed=3, refine=30)
+    ctx = QLContext(ou_model, euler_maruyama(ou_model, theta0_ou, sim))
+    report = gqlrt_statistic(ctx, ParamVector([2.0, 1.5], [0.4]), theta0_ou)
+    assert report.statistic < 0.0
+    assert report.p_value == 1.0
+    assert report.reject is False
 
 
 def test_wald_and_rao_nonnegative(ou_ctx_1000, theta0_ou, theta_hat):

@@ -1,8 +1,11 @@
 """Monte Carlo harness: local-alternative arithmetic, configuration
-validation, quantile convention, CSV round trips and worker-count
-determinism on a small study."""
+validation, quantile convention, CSV round trips, worker-count
+determinism on a small study, a golden power table, and the accounting of
+failed replications against the failure budget."""
 
 import dataclasses
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ import pytest
 from qltest import (
     ConfigError,
     ExperimentConfig,
+    HarnessError,
     ParamBox,
     ParamVector,
     chi2_quantile,
@@ -19,7 +23,13 @@ from qltest import (
     run_table,
 )
 from qltest import montecarlo
+from qltest.cli import EXIT_BUDGET, main
+from qltest.errors import StatisticError
+from qltest.hypotests import _STATISTICS
 from qltest.montecarlo import PowerTable, _empirical_quantile
+from qltest.quasilik import observed_info
+
+GOLDEN_CSV = Path(__file__).parent / "data" / "power_ou_n100.csv"
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +97,14 @@ def test_config_validation(theta0_ou):
         ExperimentConfig(h_grid=(0.0, 0.0), **kw)
     with pytest.raises(ConfigError, match="repeat a kind"):
         ExperimentConfig(h_grid=(0.0,), statistics=("T", "t"), **kw)
+    # the model is built with the config: its id, box, theta0 and x0 are checked
+    with pytest.raises(ConfigError, match="outside the open state domain"):
+        ExperimentConfig(model_id="cir", theta0=ParamVector([0.5, 0.5], [0.125]), n=50,
+                         h_grid=(0.0,), replications=50, master_seed=1, x0=-1.0)
+    with pytest.raises(ConfigError, match="unknown model id"):
+        ExperimentConfig(h_grid=(0.0,), **dict(kw, model_id="gbm"))
+    with pytest.raises(ConfigError, match="outside the parameter box"):
+        ExperimentConfig(h_grid=(0.0,), **dict(kw, theta0=ParamVector([9.0, 0.5], [0.25])))
 
 
 def test_config_delta_schedule(theta0_ou):
@@ -190,3 +208,112 @@ def test_bug_in_a_statistic_propagates(theta0_ou, monkeypatch):
     )
     with pytest.raises(TypeError, match="broken broadcast"):
         empirical_power(config)
+
+
+@pytest.fixture(scope="module")
+def golden_config():
+    """The study of the golden table: OU n = 100, h {0, 1}, R = 50, all six kinds."""
+    return ExperimentConfig(model_id="ou", theta0=ParamVector([0.5, 0.5], [0.25]), n=100,
+                            h_grid=(0.0, 1.0), replications=50, master_seed=2018)
+
+
+@pytest.fixture(scope="module")
+def golden_table(golden_config):
+    return empirical_power(golden_config)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_power_csv_matches_the_golden_table(golden_config, workers, tmp_path):
+    out = tmp_path / "table.csv"
+    run_table(golden_config, out, workers=workers)
+    assert out.read_bytes() == GOLDEN_CSV.read_bytes()
+
+
+def _withholding_info(fail_reps, replications):
+    """``observed_info`` that raises StatisticError on the replications
+    ``fail_reps`` of every cell.  The harness asks for the information once
+    per path, cell by cell in replication order, so the call count names the
+    replication; ``calls`` lets a test check that assumption."""
+    calls = []
+
+    def info(ctx, theta):
+        rep = len(calls) % replications
+        calls.append(rep)
+        if rep in fail_reps:
+            raise StatisticError("information withheld")
+        return observed_info(ctx, theta)
+
+    return info, calls
+
+
+def _recording(kind, seen):
+    """The registry entry of ``kind``, recording each value (NaN on a raise)."""
+    stat = _STATISTICS[kind]
+
+    def value(pieces):
+        try:
+            v = stat.value(pieces)
+        except Exception:
+            seen.append(math.nan)
+            raise
+        seen.append(v)
+        return v
+
+    return dataclasses.replace(stat, value=value)
+
+
+def test_partial_failures_are_counted_and_left_out(golden_config, golden_table, monkeypatch):
+    R = golden_config.replications
+    fail_reps = {7, 31}
+    info, calls = _withholding_info(fail_reps, R)
+    monkeypatch.setattr(montecarlo, "observed_info", info)
+    seen = {"WALD": [], "RAO": []}
+    for kind, values in seen.items():
+        monkeypatch.setitem(_STATISTICS, kind, _recording(kind, values))
+    table = empirical_power(golden_config)
+
+    assert len(calls) == R * len(golden_config.h_grid)  # one call per path
+    level = golden_config.level
+    for kind, values in seen.items():
+        cells = [values[i * R:(i + 1) * R] for i in range(len(golden_config.h_grid))]
+        null = [v for v in cells[0] if not math.isnan(v)]
+        threshold = _empirical_quantile(null, level)
+        assert table.thresholds[kind] == threshold
+        for h, cell in zip(golden_config.h_grid, cells):
+            assert [i for i, v in enumerate(cell) if math.isnan(v)] == sorted(fail_reps)
+            kept = [v for v in cell if not math.isnan(v)]
+            assert table.failures[(h, kind)] == len(fail_reps)
+            # the rejection rate is over the R - 2 replications that did not fail
+            assert table.epow[(h, kind)] == sum(v > threshold for v in kept) / (R - len(fail_reps))
+    for kind in ("T", "GQLRT", "AKL", "BS"):
+        assert table.thresholds[kind] == golden_table.thresholds[kind]
+        for h in golden_config.h_grid:
+            assert table.epow[(h, kind)] == golden_table.epow[(h, kind)]
+            assert table.failures[(h, kind)] == 0
+
+
+def _small_budget_config():
+    return ExperimentConfig(model_id="ou", theta0=ParamVector([0.5, 0.5], [0.25]), n=50,
+                            h_grid=(0.0, 1.0), replications=50, master_seed=3,
+                            statistics=("T", "WALD"))
+
+
+def test_failure_budget_breach_carries_the_counts(monkeypatch):
+    # 3 of 50 failed replications exceed the 5 % budget (2.5)
+    info, _ = _withholding_info({1, 2, 3}, 50)
+    monkeypatch.setattr(montecarlo, "observed_info", info)
+    with pytest.raises(HarnessError, match="3/50") as caught:
+        empirical_power(_small_budget_config())
+    assert caught.value.failure_counts == {"T": 0, "WALD": 3}
+
+
+def test_failure_budget_breach_exits_5(monkeypatch, tmp_path):
+    info, _ = _withholding_info({1, 2, 3}, 50)
+    monkeypatch.setattr(montecarlo, "observed_info", info)
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(
+        "model.id = ou\nmodel.theta0 = 0.5,0.5,0.25\nsim.n = 50\n"
+        "mc.replications = 50\nmc.h_grid = 0,1\nmc.master_seed = 3\n"
+        "mc.statistics = T,WALD\n"
+    )
+    assert main(["power", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == EXIT_BUDGET
