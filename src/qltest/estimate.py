@@ -6,8 +6,9 @@ row for row, exactly the steps of scipy's per-start
 ``minimize(method="Nelder-Mead")``, and the Monte Carlo harness runs the
 starts of a whole block of paths as one such search.  Then the best
 candidates of each path are polished one at a time by a box-constrained
-quasi-Newton method driven by finite-difference gradients of the scalar
-objective.  The adaptive variant alternates one alpha-minimization and one
+quasi-Newton method on the scalar objective, driven by finite-difference
+gradients whose stencil is evaluated as one row call of the same objective.
+The adaptive variant alternates one alpha-minimization and one
 beta-minimization, seeded by the plain local-Gaussian diffusion estimator.
 """
 
@@ -22,16 +23,20 @@ from scipy.stats import qmc
 
 from .errors import EstimationError
 from .models import ParamVector
-from .quasilik import QLContext, _objective, _terms, fd_gradient, ql_total
+from .quasilik import (
+    _GRADIENT,
+    QLContext,
+    _central_difference,
+    _objective,
+    _ql_rows,
+    _split,
+    ql_total,
+)
 
 __all__ = ["FitOptions", "FitResult", "mqle", "initial_beta", "adaptive_estimate"]
 
 _BIG = 1e300
 _SOBOL_SEED = 20200517  # fixed so multi-start points are reproducible
-
-# path values per chunk of search rows evaluated at once: an (8, 1000) chunk
-# stays in cache, where one (100, 1000) batch ran no faster than row by row
-_CHUNK_VALUES = 8192
 
 # scipy's non-adaptive Nelder-Mead coefficients and initial-simplex steps
 _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
@@ -99,42 +104,21 @@ def _start_points(lower, upper, n_starts, extra=None):
     return starts[:n_starts]
 
 
-def _row_objective(total, n):
-    """The search's objective over rows, from ``total(rows, block)``.
+def _guarded(f_rows):
+    """The row evaluator ``f_rows`` as the search and the polish read it.
 
-    ``total`` returns the objective of each listed row at the points of a
-    (d, k, 1) block, over paths of n transitions; it is called on chunks of
-    at most _CHUNK_VALUES // n rows.  A non-finite value reads as _BIG, and
-    nothing raised is caught.
+    Floating-point errors are ignored and a non-finite value reads as _BIG,
+    which gives, row for row, the values of ``_safe`` on the scalar
+    objective; nothing raised is caught.
     """
-    chunk = max(1, _CHUNK_VALUES // n)
 
     def f(rows, points):
-        out = np.empty(rows.size)
         with np.errstate(all="ignore"):
-            for i in range(0, rows.size, chunk):
-                out[i : i + chunk] = total(rows[i : i + chunk], points[i : i + chunk].T[:, :, None])
+            out = f_rows(rows, points)
         out[~np.isfinite(out)] = _BIG
         return out
 
     return f
-
-
-def _ql_rows(ctxs, row_ctx, theta_of):
-    """Row objective: ql_total of row r on ``ctxs[row_ctx[r]]``.
-
-    ``theta_of`` maps a (d, k, 1) block of points to the parameter; the
-    contexts share one model and one observation step.
-    """
-    model, delta = ctxs[0].model, ctxs[0].path.delta
-    xprev = np.stack([ctx.xprev for ctx in ctxs])
-    xnext = np.stack([ctx.xnext for ctx in ctxs])
-
-    def total(rows, block):
-        paths = row_ctx[rows]
-        return _terms(model, delta, xprev[paths], xnext[paths], theta_of(block)).sum(axis=1)
-
-    return _row_objective(total, xprev.shape[1])
 
 
 def _nelder_mead(f_rows, x0, lower, upper, xatol, fatol, maxfev):
@@ -258,11 +242,14 @@ def _search(f_rows, starts, lower, upper):
     return _nelder_mead(f_rows, starts, lower, upper, _NM_XATOL, _NM_FATOL, maxfev)
 
 
-def _polish(f, search, lower, upper, opts: FitOptions):
+def _polish(f, f_rows, search, lower, upper, opts: FitOptions):
     """L-BFGS-B polish of one problem's best searched starts.
 
-    ``search`` holds (x, fun, nit) of each start, in start order.  Returns
-    (x, objective, converged, iterations, restarts, at_boundary).
+    ``f`` is the scalar objective and ``f_rows`` the same objective as a
+    guarded row evaluator of this one problem: the FD gradient, of each
+    step and of the convergence test, is one ``f_rows`` call over its
+    stencil.  ``search`` holds (x, fun, nit) of each start, in start order.
+    Returns (x, objective, converged, iterations, restarts, at_boundary).
     """
     f = _safe(f)
     xs, funs, nits = search
@@ -286,7 +273,7 @@ def _polish(f, search, lower, upper, opts: FitOptions):
     phi = upper - inset
 
     def jac(v):
-        return fd_gradient(f, v, lower=None, upper=None)
+        return _central_difference(_GRADIENT, f_rows, v)
 
     best = None
     for fun, idx, x in stage1[: max(1, opts.polish_top)]:
@@ -309,7 +296,7 @@ def _polish(f, search, lower, upper, opts: FitOptions):
     converged = False
     if not at_boundary:
         # off the inset bounds, x is over three FD steps inside the box
-        g = fd_gradient(f, x, lower, upper)
+        g = _central_difference(_GRADIENT, f_rows, x, lower, upper)
         converged = bool(np.max(np.abs(g)) <= _GRAD_TOL * (1.0 + abs(fun)))
     return x, float(fun), converged, iterations, len(funs), at_boundary
 
@@ -317,7 +304,7 @@ def _polish(f, search, lower, upper, opts: FitOptions):
 def _minimize_box(f, f_rows, starts, lower, upper, opts: FitOptions):
     """Lockstep Nelder-Mead from ``starts``, then the polish of ``f``."""
     search = _search(f_rows, np.array(starts), lower, upper)
-    return _polish(f, search, lower, upper, opts)
+    return _polish(f, f_rows, search, lower, upper, opts)
 
 
 def _heuristic_start(ctx: QLContext):
@@ -356,7 +343,7 @@ def mqle_search(ctxs, opts: FitOptions = FitOptions()):
     ]
     counts = [len(s) for s in starts]
     row_ctx = np.repeat(np.arange(len(ctxs)), counts)
-    f_rows = _ql_rows(ctxs, row_ctx, lambda v: ParamVector._wrap(v[:m1], v[m1:]))
+    f_rows = _guarded(_ql_rows(ctxs, _split(m1), row_ctx))
     x, fun, nit = _search(f_rows, np.concatenate(starts), box.lower, box.upper)
     cuts = np.cumsum(counts)[:-1]
     return list(zip(np.split(x, cuts), np.split(fun, cuts), np.split(nit, cuts)))
@@ -378,7 +365,8 @@ def mqle(ctx: QLContext, opts: FitOptions = FitOptions(), *, search=None) -> Fit
     # the polish evaluates through this module's ql_total binding, which the
     # benchmark's traced run wraps to count evaluations
     x, fun, converged, iters, restarts, at_boundary = _polish(
-        _objective(ctx, ql_total), search, box.lower, box.upper, opts
+        _objective(ctx, ql_total), _guarded(_ql_rows([ctx], _split(m1))),
+        search, box.lower, box.upper, opts,
     )
     return FitResult(
         theta_hat=ParamVector.from_full(box.clip(x), m1, m2),
@@ -400,21 +388,18 @@ def initial_beta(ctx: QLContext, opts: FitOptions = FitOptions()) -> FitResult:
     m1, m2 = model.m1, model.m2
     box = model.box
     lower, upper = box.lower[m1:], box.upper[m1:]
-    path = ctx.path
-    dx2 = np.diff(path.values) ** 2
-    xprev = ctx.xprev
+    dx2 = np.diff(ctx.path.values) ** 2
     alpha_c = box.center()[:m1]
 
-    def u_n(_rows, block):
-        c = model.diffsq(ParamVector._wrap(alpha_c, block), xprev)
-        total = 0.5 * np.sum(dx2 / (path.delta * c) + np.log(c), axis=1)
-        return np.where(np.any(c <= 0, axis=1), _BIG, total)
+    # where c <= 0, log c is -inf or NaN and the guarded row reads _BIG
+    def u_terms(model, delta, xprev, _xnext, theta):
+        c = model.diffsq(theta, xprev)
+        return 0.5 * (dx2 / (delta * c) + np.log(c))
 
-    f_rows = _row_objective(u_n, path.n)
-    one = np.zeros(1, dtype=int)
+    f_rows = _guarded(_ql_rows([ctx], lambda bv: ParamVector._wrap(alpha_c, bv), terms=u_terms))
     starts = _start_points(lower, upper, max(4, opts.n_starts // 2))
     x, fun, converged, iters, restarts, at_boundary = _minimize_box(
-        lambda bv: f_rows(one, bv[None])[0], f_rows, starts, lower, upper, opts
+        lambda bv: f_rows(None, bv[None])[0], f_rows, starts, lower, upper, opts
     )
     beta = np.clip(x, lower, upper)
     return FitResult(
@@ -435,10 +420,9 @@ def adaptive_estimate(ctx: QLContext, opts: FitOptions = FitOptions()) -> FitRes
     beta0 = initial_beta(ctx, opts).theta_hat.beta
 
     def step(lower, upper, starts, theta_of):
-        one_path = np.zeros(len(starts), dtype=int)
         return _minimize_box(
             lambda v: ql_total(ctx, theta_of(v)),
-            _ql_rows([ctx], one_path, theta_of),
+            _guarded(_ql_rows([ctx], theta_of)),
             starts, lower, upper, opts,
         )
 

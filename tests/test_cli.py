@@ -2,13 +2,16 @@
 flat-key config parser."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qltest import ExperimentConfig, ParamVector, SamplePath
 from qltest.cli import (
+    EXIT_ESTIMATION,
     EXIT_OK,
     EXIT_RAO,
     EXIT_USAGE,
@@ -230,6 +233,53 @@ def test_numeric_config_value_parses_or_raises_config_error(tmp_path_factory, ke
     except ConfigError:
         return
     assert isinstance(config, ExperimentConfig)
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+# one CSV cell: a number, a word numpy reads as a number or not, or any text
+_CELL = (st.floats(width=64).map(repr)
+         | st.sampled_from(["nan", "inf", "-inf", "1e999", "", " 2 ", "0x1p3", "1_0"])
+         | _TEXT)
+
+
+@st.composite
+def _path_csv_text(draw):
+    """Header and rows of a path CSV: equispaced rows, rows of numbers, or any text."""
+    header = draw(st.sampled_from(["t,x", "t,x", " t , x ", "x,t", "t,x,x", "", None]))
+    if header is None:
+        header = draw(_TEXT)
+    kind = draw(st.sampled_from(["equispaced", "numbers", "text"]))
+    if kind == "equispaced":
+        delta = draw(st.floats(-1.0, 1e300))
+        xs = draw(st.lists(st.floats(), max_size=12))
+        rows = [f"{i * delta!r},{x!r}" for i, x in enumerate(xs)]
+    elif kind == "numbers":
+        rows = [f"{t!r},{x!r}" for t, x in draw(st.lists(st.tuples(st.floats(), st.floats()),
+                                                          max_size=8))]
+    else:
+        rows = draw(st.lists(st.builds("{},{}".format, _CELL, _CELL) | _TEXT, max_size=8))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join([header] + rows) + end
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=_path_csv_text())
+def test_path_csv_reads_or_raises_config_error(tmp_path_factory, text):
+    # SamplePath.from_csv gives a path of finite values at a finite delta > 0,
+    # or raises ConfigError; ``estimate --input`` then exits 2 on a rejected
+    # file, and never 1 (unexpected) on an accepted one: it fits (0), or the
+    # fit fails as a classified estimation failure (3), as on a path too short
+    csv_path = tmp_path_factory.mktemp("path") / "path.csv"
+    csv_path.write_text(text, encoding="utf-8", newline="")
+    try:
+        path = SamplePath.from_csv(csv_path)
+    except ConfigError:
+        path = None
+    else:
+        assert np.all(np.isfinite(path.values))
+        assert math.isfinite(path.delta) and path.delta > 0
+    code = main(["estimate", "--input", str(csv_path), "--model", "ou"])
+    assert code in ((EXIT_USAGE,) if path is None else (EXIT_OK, EXIT_ESTIMATION))
 
 
 def test_power_subcommand(tmp_path):

@@ -27,19 +27,17 @@ from qltest import (
 )
 from qltest.estimate import (
     _BIG,
-    _CHUNK_VALUES,
     _NM_FATOL,
     _NM_XATOL,
+    _guarded,
     _heuristic_start,
     _nelder_mead,
     _polish,
-    _ql_rows,
-    _row_objective,
     _safe,
     _start_points,
     mqle_search,
 )
-from qltest.quasilik import _objective
+from qltest.quasilik import _CHUNK_VALUES, _objective, _ql_rows, _split
 
 THETA0 = {
     "ou": ParamVector([0.5, 0.5], [0.25]),
@@ -92,7 +90,7 @@ def _full_problem(ctxs, starts_per_path, extra_starts=()):
         starts.append(np.asarray(x0, dtype=float))
         row_ctx.append(i)
     row_ctx = np.array(row_ctx)
-    f_rows = _ql_rows(ctxs, row_ctx, lambda v: ParamVector._wrap(v[:m1], v[m1:]))
+    f_rows = _guarded(_ql_rows(ctxs, _split(m1), row_ctx))
     objectives = [_safe(_objective(ctxs[i], ql_total)) for i in row_ctx]
     return f_rows, np.array(starts), objectives, box
 
@@ -177,8 +175,7 @@ def test_one_dimensional_rows_equal_scipy(model_id):
     alpha = np.array([0.7, 0.4])
     lower, upper = model.box.lower[2:], model.box.upper[2:]
     starts = np.array(_start_points(lower, upper, 6, extra=[0.2]) + [upper])
-    f_rows = _ql_rows(ctxs, np.zeros(len(starts), dtype=int),
-                      lambda bv: ParamVector._wrap(alpha, bv))
+    f_rows = _guarded(_ql_rows(ctxs, lambda bv: ParamVector._wrap(alpha, bv)))
     objectives = [_safe(lambda bv: ql_total(ctxs[0], ParamVector(alpha, bv)))] * len(starts)
     lockstep = _nelder_mead(f_rows, starts, lower, upper, XATOL, FATOL, 200)
     _assert_rows_equal(lockstep, _scipy_rows(objectives, starts, lower, upper, 200))
@@ -195,14 +192,14 @@ def test_cir_rows_equal_ql_total_where_pow_and_product_differ():
     assert betas.size > 100
     alpha = np.array([0.5, 0.5])
     row_ctx = np.repeat(np.arange(len(ctxs)), betas.size)
-    f_rows = _ql_rows(ctxs, row_ctx, lambda bv: ParamVector._wrap(alpha, bv))
+    f_rows = _ql_rows(ctxs, lambda bv: ParamVector._wrap(alpha, bv), row_ctx)
     rows = f_rows(np.arange(row_ctx.size), np.tile(betas, len(ctxs))[:, None])
     scalar = [ql_total(ctx, ParamVector(alpha, [b])) for ctx in ctxs for b in betas]
     assert np.array_equal(rows, scalar)
 
 
 def test_row_objective_reads_non_finite_as_big():
-    f_rows = _row_objective(lambda rows, block: np.array([1.0, np.nan, np.inf, -np.inf])[rows], 4)
+    f_rows = _guarded(lambda rows, points: np.array([1.0, np.nan, np.inf, -np.inf])[rows])
     out = f_rows(np.arange(4), np.zeros((4, 3)))
     assert np.array_equal(out, [1.0, _BIG, _BIG, _BIG])
 
@@ -224,15 +221,20 @@ def test_fits_never_call_scipy_nelder_mead(monkeypatch):
 # --- the fits against a reference that runs scipy's Nelder-Mead per start ---
 
 def _reference_box(f, starts, lower, upper, opts):
-    """Nelder-Mead by scipy from each start, then the fit's polish."""
+    """Nelder-Mead by scipy from each start, then the fit's polish, its FD
+    gradient evaluated one stencil point at a time."""
     maxfev = 200 * lower.size
     f_safe = _safe(f)
+
+    def scalar_rows(_rows, points):
+        return np.array([f_safe(v) for v in points])
+
     results = _scipy_rows([f_safe] * len(starts), starts, lower, upper, maxfev)
     # scipy runs with the fit's own tolerances
     assert (_NM_XATOL, _NM_FATOL) == (XATOL, FATOL)
     search = (np.array([r.x for r in results]), np.array([r.fun for r in results]),
               np.array([r.nit for r in results]))
-    return _polish(f, search, lower, upper, opts)
+    return _polish(f, scalar_rows, search, lower, upper, opts)
 
 
 def _reference_mqle(ctx, opts=FitOptions()):

@@ -1,21 +1,30 @@
 """Per-observation quasi-loglikelihood terms, finite-difference
 derivatives and information matrices, checked against frozen arithmetic,
-a higher-order stencil, and the exact Gaussian transition density."""
+a higher-order stencil, and the exact Gaussian transition density.  The
+stencils evaluated as row calls must equal the scalar loop over the same
+stencil bit for bit, and fail where and as it fails."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from qltest import (
     BoundaryError,
+    DomainError,
+    FitOptions,
+    FitResult,
     Model,
     ParamBox,
     ParamVector,
     QLContext,
     SamplePath,
     fisher_info,
+    make_model,
     make_ou,
+    mqle,
     observed_info,
     ql_grad,
     ql_hess,
@@ -25,7 +34,10 @@ from qltest import (
     SimConfig,
     euler_maruyama,
 )
-from qltest.quasilik import fd_gradient, fd_hessian
+from qltest import quasilik
+from qltest.estimate import _BIG, _safe
+from qltest.montecarlo import _statistic_values
+from qltest.quasilik import _objective, fd_gradient, fd_hessian
 
 
 @pytest.fixture()
@@ -194,3 +206,213 @@ def test_fisher_info_ergodic_average(ou_model, theta0_ou):
         diags.append(np.diag(fisher_info(QLContext(ou_model, path), theta0_ou).full()))
     mean_diag = np.mean(diags, axis=0)
     np.testing.assert_allclose(mean_diag, [1.0, 4.0, 32.0], rtol=0.20)
+
+
+# --- the row-evaluated stencils against the scalar loop over the same stencil ---
+
+_THETA0 = {
+    "ou": ParamVector([0.5, 0.5], [0.25]),
+    "cir": ParamVector([0.5, 0.5], [0.125]),
+}
+
+
+def _stencil_cases():
+    """(ctx, theta) on OU and CIR paths at n in {100, 1000}, at theta_hat and theta0."""
+    cases = []
+    for model_id in ("ou", "cir"):
+        model = make_model(model_id)
+        for n in (100, 1000):
+            delta = n ** (-2.0 / 3.0)
+            path = euler_maruyama(model, _THETA0[model_id],
+                                  SimConfig(n=n, delta=delta, x0=1.0, seed=n + 7))
+            ctx = QLContext(model, path)
+            fit = mqle(ctx, FitOptions(n_starts=2, polish_top=1))
+            cases += [(ctx, fit.theta_hat), (ctx, _THETA0[model_id])]
+    return cases
+
+
+@pytest.fixture(scope="module")
+def stencil_cases():
+    return _stencil_cases()
+
+
+def _scalar_hessian(ctx, theta):
+    box = ctx.model.box
+    return fd_hessian(_objective(ctx), theta.full, box.lower, box.upper)
+
+
+# the central differences written out one coordinate (pair) at a time: the
+# arithmetic, in the order, that every stencil rule must reproduce
+
+def _loop_steps(x):
+    return quasilik.FD_REL_STEP * np.maximum(1.0, np.abs(x))
+
+
+def _loop_gradient(f, x):
+    h = _loop_steps(x)
+    g = np.empty_like(x)
+    for j in range(x.size):
+        e = np.zeros_like(x)
+        e[j] = h[j]
+        g[j] = (f(x + e) - f(x - e)) / (2.0 * h[j])
+    return g
+
+
+def _loop_hessian(f, x):
+    h = _loop_steps(x)
+    d = x.size
+    H = np.empty((d, d))
+    f0 = f(x)
+    for j in range(d):
+        ej = np.zeros_like(x)
+        ej[j] = h[j]
+        H[j, j] = (f(x + ej) + f(x - ej) - 2.0 * f0) / (h[j] * h[j])
+        for k in range(j + 1, d):
+            ek = np.zeros_like(x)
+            ek[k] = h[k]
+            H[j, k] = (
+                f(x + ej + ek) - f(x + ej - ek) - f(x - ej + ek) + f(x - ej - ek)
+            ) / (4.0 * h[j] * h[k])
+            H[k, j] = H[j, k]
+    return 0.5 * (H + H.T)
+
+
+def _loop_fisher(ctx, theta):
+    model, xprev = ctx.model, ctx.xprev
+    c = np.asarray(model.diffsq(theta, xprev), dtype=float)
+
+    def derivative(x, f):
+        h = _loop_steps(x)
+        out = np.empty((x.size, xprev.size))
+        for j in range(x.size):
+            e = np.zeros(x.size)
+            e[j] = h[j]
+            out[j] = (np.asarray(f(x + e), dtype=float) - np.asarray(f(x - e), dtype=float)) / (
+                2.0 * h[j])
+        return out
+
+    db = derivative(theta.alpha, lambda a: model.drift(theta.replace_alpha(a), xprev))
+    dcb = derivative(theta.beta, lambda b: model.diffsq(theta.replace_beta(b), xprev))
+    return (db / c) @ db.T / xprev.size, 0.5 * (dcb / c**2) @ dcb.T / xprev.size
+
+
+def test_fd_rules_equal_the_written_out_loops():
+    def f(v):
+        return float(np.sin(v).sum() * np.exp(v[0]) + (v**3).sum() * v[-1])
+
+    rng = np.random.default_rng(2)
+    for d in (1, 2, 3, 4):
+        for scale in (1e-3, 1.0, 1e2):
+            x = rng.normal(size=d) * scale
+            assert np.array_equal(fd_gradient(f, x), _loop_gradient(f, x))
+            assert np.array_equal(fd_hessian(f, x), _loop_hessian(f, x))
+
+
+def test_row_stencils_equal_scalar_loop(stencil_cases, monkeypatch):
+    for ctx, theta in stencil_cases:
+        box = ctx.model.box
+        f = _objective(ctx)
+        grad = ql_grad(ctx, theta)
+        assert np.array_equal(grad, fd_gradient(f, theta.full, box.lower, box.upper))
+        assert np.array_equal(grad, _loop_gradient(f, theta.full))
+        hess = ql_hess(ctx, theta)
+        assert np.array_equal(hess, _scalar_hessian(ctx, theta))
+        assert np.array_equal(hess, _loop_hessian(f, theta.full))
+        info = fisher_info(ctx, theta)
+        block_aa, block_bb = _loop_fisher(ctx, theta)
+        assert np.array_equal(info.block_aa, block_aa)
+        assert np.array_equal(info.block_bb, block_bb)
+    rows = [observed_info(ctx, theta).full() for ctx, theta in stencil_cases]
+    monkeypatch.setattr(quasilik, "ql_hess", _scalar_hessian)
+    for (ctx, theta), info in zip(stencil_cases, rows):
+        assert np.array_equal(info, observed_info(ctx, theta).full())
+
+
+def _drift_nan_above_four(theta, x):
+    """OU drift that is NaN where a1 > 4: a region where ql_total is non-finite."""
+    a1, a2 = theta.alpha
+    return np.where(a1 > 4.0, np.nan, a1 * (a2 - x))
+
+
+@pytest.fixture(scope="module")
+def nan_ctx():
+    model = dataclasses.replace(make_ou(), drift=_drift_nan_above_four)
+    path = euler_maruyama(make_ou(), _THETA0["ou"], SimConfig(n=100, delta=0.05, x0=1.0, seed=3))
+    return QLContext(model, path)
+
+
+# a1 half a step below 4: the stencil point a1 + h lies in the NaN region
+_NEAR_NAN = np.array([4.0 - 0.5 * quasilik.FD_REL_STEP * 4.0, 0.5, 0.25])
+
+
+def test_polish_jac_equals_scalar_loop_on_safe_objective(stencil_cases, nan_ctx, monkeypatch):
+    minimize = optimize.minimize
+    jacs = []
+
+    def spy(fun, x0, jac=None, **kwargs):
+        jacs.append(jac)
+        return minimize(fun, x0, jac=jac, **kwargs)
+
+    monkeypatch.setattr(optimize, "minimize", spy)
+    checked = 0
+    for ctx, theta in stencil_cases[::2] + [(nan_ctx, _THETA0["ou"])]:
+        del jacs[:]
+        mqle(ctx, FitOptions(n_starts=2, polish_top=1))
+        f = _safe(_objective(ctx))
+        points = [theta.full, _THETA0[ctx.model.name].full]
+        if ctx is nan_ctx:
+            points.append(_NEAR_NAN)
+            assert f(_NEAR_NAN + np.diag(quasilik._steps(_NEAR_NAN))[0]) == _BIG
+        for jac in jacs:
+            for v in points:
+                assert np.array_equal(jac(v), fd_gradient(f, v))
+                checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("coordinate", [0, 1, 2])
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_stencil_within_a_step_of_the_box_raises_boundary_error(ou_ctx_1000, coordinate, side):
+    box = ou_ctx_1000.model.box
+    v = _THETA0["ou"].full.copy()
+    edge = getattr(box, side)[coordinate]
+    inward = 1.0 if side == "lower" else -1.0
+    v[coordinate] = edge + inward * 0.5 * quasilik.FD_REL_STEP * max(1.0, abs(edge))
+    theta = ParamVector(v[:2], v[2:])
+    for rows, scalar in ((ql_hess, fd_hessian), (ql_grad, fd_gradient)):
+        with pytest.raises(BoundaryError) as row_exc:
+            rows(ou_ctx_1000, theta)
+        with pytest.raises(BoundaryError) as scalar_exc:
+            scalar(_objective(ou_ctx_1000), v, box.lower, box.upper)
+        assert row_exc.value.coordinate == scalar_exc.value.coordinate == coordinate
+
+
+def _diff_zero_below_one(theta, x):
+    """A diffusion coefficient that is 0 where b1 <= 1."""
+    b1 = theta.beta[0]
+    return np.where(b1 > 1.0, b1, 0.0)
+
+
+def test_stencil_point_with_zero_diffusion_raises_domain_error(ou_ctx_1000):
+    model = dataclasses.replace(ou_ctx_1000.model, diff=_diff_zero_below_one)
+    ctx = QLContext(model, ou_ctx_1000.path)
+    # b1 half a step above 1: the stencil point b1 - h has c = 0
+    theta = ParamVector([0.5, 0.5], [1.0 + 0.5 * quasilik.FD_REL_STEP])
+    ql_total(ctx, theta)  # the centre itself is fine
+    for rows, scalar in ((ql_hess, fd_hessian), (ql_grad, fd_gradient)):
+        with pytest.raises(DomainError):
+            rows(ctx, theta)
+        with pytest.raises(DomainError):
+            scalar(_objective(ctx), theta.full)
+
+
+def test_non_finite_stencil_value_leaves_information_non_finite(nan_ctx):
+    theta_hat = ParamVector(_NEAR_NAN[:2], _NEAR_NAN[2:])
+    assert math.isfinite(ql_total(nan_ctx, theta_hat))
+    info = observed_info(nan_ctx, theta_hat).full()
+    assert not np.all(np.isfinite(info))
+    assert not np.any(info == _BIG)
+    fit = FitResult(theta_hat, 0.0, False, 0, 0)
+    row = _statistic_values(nan_ctx, fit, _THETA0["ou"], ("T", "WALD", "RAO"))
+    assert math.isfinite(row[0])
+    assert np.isnan(row[1]) and np.isnan(row[2])
