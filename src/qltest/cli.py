@@ -202,21 +202,25 @@ _REQUIRED_KEYS = {"model.id", "model.theta0", "sim.n", "mc.replications", "mc.h_
 
 def parse_config_file(path) -> ExperimentConfig:
     """Flat dotted-key config: one `key = value` per line, # comments."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = val
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        values[key] = val
     missing = _REQUIRED_KEYS - values.keys()
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
@@ -274,7 +278,8 @@ def main(argv=None) -> int:
         if args.command == "power":
             return cmd_power(args)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EstimationError as exc:

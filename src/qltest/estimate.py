@@ -315,12 +315,15 @@ def _heuristic_start(ctx: QLContext):
     if m2 != 1:
         return None
     path = ctx.path
-    qv = float(np.mean(np.diff(path.values) ** 2)) / path.delta
     xprev = path.values[:-1]
     theta_c = ParamVector.from_full(center, m1, m2)
-    # match mean(c) to the quadratic variation by rescaling the unit-beta c
+    # match mean(c) to the quadratic variation by rescaling the unit-beta c;
+    # on a path of huge values either mean may overflow to inf, which is
+    # kept as it is, without the warning
     theta_unit = theta_c.replace_beta(np.ones(1))
-    c_unit = float(np.mean(ctx.model.diffsq(theta_unit, xprev)))
+    with np.errstate(over="ignore"):
+        qv = float(np.mean(np.diff(path.values) ** 2)) / path.delta
+        c_unit = float(np.mean(ctx.model.diffsq(theta_unit, xprev)))
     if c_unit <= 0 or qv <= 0:
         return None
     start = center.copy()

@@ -74,7 +74,8 @@ class ParamVector:
     def _wrap(cls, alpha: np.ndarray, beta: np.ndarray) -> "ParamVector":
         """Wrap two float arrays as they are: no conversion, copy or check.
 
-        Each is a 1-d block or, in the lockstep search, an (m, k, 1) block.
+        Each is a 1-d block or, in the lockstep search, an (m, k, 1) block,
+        or, in the batched simulation, an (m, rows) block.
 
         For loops that evaluate thousands of parameter vectors whose layout
         the caller has already fixed; everything else uses the constructor.
@@ -156,9 +157,11 @@ class Model:
     The estimators' lockstep search evaluates k parameter points at once:
     ``theta.alpha`` or ``theta.beta`` may then be a block of shape
     (m, k, 1), ``x`` has shape (k, n) or (n,), and the value must broadcast
-    against ``x`` to (k, n).  Callbacks written with elementwise numpy
-    operations on ``theta.alpha[i]``, ``theta.beta[i]`` and ``x`` do this
-    unchanged, and each row equals the single-point value bit for bit.  A
+    against ``x`` to (k, n).  The batched simulation steps rows with a
+    parameter each: the blocks may then have shape (m, rows) against ``x``
+    of shape (rows,).  Callbacks written with elementwise numpy operations
+    on ``theta.alpha[i]``, ``theta.beta[i]`` and ``x`` do this unchanged,
+    and each row equals the single-point value bit for bit.  A
     power of a parameter is written as a product (``b * b``): numpy
     evaluates ``**`` on a scalar with C ``pow`` but on an array as a
     product, one rounding apart at times.

@@ -6,9 +6,12 @@ once, and evaluates every requested statistic against the null theta0
 on that shared path and fit (paired design).  Per-replication seeds are
 derived from (master_seed, replication index) only — independent of the
 statistic kind and of h — so results are identical for any worker count
-and the h columns are common-random-number coupled.  The paths of a block
-of replications are simulated as one batch, which gives the same paths as
-one simulation per replication.
+and the h columns are common-random-number coupled.  A table runs as one
+block over its (h cell, replication) pairs: the paths of the block are
+simulated as one batch, each at its cell's alternative, and the
+Nelder-Mead starts of all their fits run as one lockstep search, which
+gives the same paths and fits as one simulation and one fit per
+replication.  With workers, each takes one contiguous run of pairs.
 
 An h cell is one (R, len(statistics)) float matrix, rows in replication
 order.  NaN marks a failed replication of a kind: no path (every simulation
@@ -223,25 +226,27 @@ def _replication_seed(master_seed: int, rep: int) -> int:
     return int(derive_seed_sequence(master_seed, rep).generate_state(1, dtype=np.uint64)[0])
 
 
-def _replicate_block(args):
-    """The rows of replications ``reps`` of one h cell, in order.
+def _table_block(args):
+    """The rows of the (h_index, rep) pairs ``pairs`` of the table, in order.
 
-    Their paths are simulated as one batch at the alternative, the
-    Nelder-Mead starts of all their fits run as one lockstep search, and
+    Their paths are simulated as one batch, each at its cell's alternative,
+    the Nelder-Mead starts of all their fits run as one lockstep search, and
     then each path's fit is polished and every kind evaluated on it.  Seeds
     depend only on (master_seed, rep): the h cells are coupled by common
     random numbers, as are all statistic kinds.  A path that failed every
     simulation attempt leaves its row NaN.
     """
-    config, h_index, reps = args
+    config, pairs = args
     model = config.model()
     delta = config.delta
-    theta_sim = local_alternative(config.theta0, config.h_grid[h_index], config.n, delta, model.box)
+    alternatives = [local_alternative(config.theta0, h, config.n, delta, model.box)
+                    for h in config.h_grid]
     # seed is unused: each replication brings its own
     sim = SimConfig(n=config.n, delta=delta, x0=config.x0, seed=0, refine=config.refine)
-    seeds = [_replication_seed(config.master_seed, rep) for rep in reps]
-    paths = euler_maruyama(model, theta_sim, sim, seeds)
-    rows = np.full((len(reps), len(config.statistics)), np.nan)
+    thetas = [alternatives[h_index] for h_index, _ in pairs]
+    seeds = [_replication_seed(config.master_seed, rep) for _, rep in pairs]
+    paths = euler_maruyama(model, thetas, sim, seeds)
+    rows = np.full((len(pairs), len(config.statistics)), np.nan)
     simulated = [i for i, path in enumerate(paths) if isinstance(path, SamplePath)]
     ctxs = [QLContext(model, paths[i]) for i in simulated]
     searches = mqle_search(ctxs, _MC_FIT_OPTS) if ctxs else []
@@ -262,19 +267,24 @@ def _fit_and_evaluate(config: ExperimentConfig, ctx, search):
     return _statistic_values(ctx, fit, config.theta0, config.statistics)
 
 
-def _collect_cell(config: ExperimentConfig, h_index: int, workers: int = 1):
-    """The value matrix of one h cell, rows in replication order.
+def _collect_table(config: ExperimentConfig, workers: int = 1):
+    """The value matrices of all h cells, shape (len(h_grid), R, kinds).
 
-    With several workers each takes one contiguous block of replications,
-    so every batch stays as large as the split allows.
+    The table's (h_index, rep) pairs, in cell-major order, run as one
+    block.  With several workers each takes one contiguous run of pairs,
+    which may straddle cells, so every batch stays as large as the split
+    allows and the table starts one pool.
     """
-    reps = list(range(config.replications))
+    pairs = [(h_index, rep) for h_index in range(len(config.h_grid))
+             for rep in range(config.replications)]
     if workers <= 1:
-        return _replicate_block((config, h_index, reps))
-    block = -(-len(reps) // workers)
-    tasks = [(config, h_index, reps[i : i + block]) for i in range(0, len(reps), block)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(_replicate_block, tasks)))
+        rows = _table_block((config, pairs))
+    else:
+        size = -(-len(pairs) // workers)
+        tasks = [(config, pairs[i : i + size]) for i in range(0, len(pairs), size)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = np.concatenate(list(pool.map(_table_block, tasks)))
+    return rows.reshape(len(config.h_grid), config.replications, len(config.statistics))
 
 
 def _empirical_quantile(values, level):
@@ -310,7 +320,7 @@ def null_threshold(config: ExperimentConfig, kind: str, workers: int = 1) -> flo
 
 def empirical_power(config: ExperimentConfig, workers: int = 1) -> PowerTable:
     """Rejection frequencies over the h grid for every requested kind."""
-    cells = [_collect_cell(config, h_index, workers) for h_index in range(len(config.h_grid))]
+    cells = _collect_table(config, workers)
     null = cells[config.h_grid.index(0.0)]
     _check_budget(null, config.statistics, config.replications)
 

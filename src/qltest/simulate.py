@@ -6,11 +6,12 @@ increments come from a counter-based Philox generator through the inverse
 normal CDF, so a path is a pure function of (model, theta, config).
 
 A list of seeds is simulated as rows of one array program: every row keeps
-its own stream and the scalar loop's arithmetic in the same order, so each
-row equals the single-seed path bit for bit, and a row that leaves the
-domain is resimulated without the others.  The array program pays a fixed
-numpy cost per substep that only several rows amortise, so batches of fewer
-than ``_BATCH_MIN_ROWS`` rows, single paths included, run the scalar loop.
+its own stream, its own parameter and the scalar loop's arithmetic in the
+same order, so each row equals the single-seed path bit for bit, and a row
+that leaves the domain is resimulated without the others.  The array
+program pays a fixed numpy cost per substep that only several rows
+amortise, so batches of fewer than ``_BATCH_MIN_ROWS`` rows, single paths
+included, run the scalar loop.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ class SamplePath:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.size < 3:
             raise ConfigError("a sample path needs at least 3 observations")
-        if self.delta <= 0:
-            raise ConfigError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ConfigError("delta must be positive and finite")
         if not np.all(np.isfinite(self.values)):
             raise ConfigError("sample path contains non-finite values")
 
@@ -99,8 +100,11 @@ class SamplePath:
     def from_csv(cls, path_or_buf) -> "SamplePath":
         if hasattr(path_or_buf, "read"):
             return cls._read(path_or_buf)
-        with open(path_or_buf, newline="") as fh:
-            return cls._read(fh)
+        try:
+            with open(path_or_buf, newline="", encoding="utf-8") as fh:
+                return cls._read(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path_or_buf}: not UTF-8 text (byte {exc.start})") from None
 
     @classmethod
     def _read(cls, fh) -> "SamplePath":
@@ -122,9 +126,12 @@ class SamplePath:
             values.append(x)
         if len(values) < 3:
             raise ConfigError("sample path CSV needs at least 3 rows")
-        steps = np.diff(times)
-        delta = steps[0]
-        if not np.allclose(steps, delta, rtol=1e-9, atol=1e-12):
+        # huge or non-finite times give inf or NaN steps, which fail the test
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = np.diff(times)
+            delta = steps[0]
+            equispaced = np.allclose(steps, delta, rtol=1e-9, atol=1e-12)
+        if not equispaced:
             raise ConfigError("sample path CSV is not equispaced")
         return cls(delta=float(delta), values=np.asarray(values))
 
@@ -149,7 +156,7 @@ def _standard_normals(rng, count):
     return ndtri(u)
 
 
-def euler_maruyama(model: Model, theta: ParamVector, config: SimConfig, seeds=None):
+def euler_maruyama(model: Model, theta, config: SimConfig, seeds=None):
     """Simulate n+1 observations at spacing delta by refined Euler steps.
 
     The diffusion coefficient is evaluated at the state clipped into the
@@ -161,29 +168,39 @@ def euler_maruyama(model: Model, theta: ParamVector, config: SimConfig, seeds=No
     With ``seeds`` (``config.seed`` is then ignored) one path is simulated
     per seed and a list in seed order is returned; a slot holds the
     ``SamplePath``, or the ``SimulationError`` of a path that failed every
-    attempt.  Each path equals the single-seed call bit for bit.
+    attempt.  ``theta`` is then one ``ParamVector`` for every seed or a
+    sequence of them, one per seed.  Each path equals the single-seed call
+    at its seed and parameter bit for bit.
     """
-    model.check_theta(theta)
+    if seeds is None:
+        thetas = [theta]
+    else:
+        seeds = [int(s) for s in seeds]
+        thetas = [theta] * len(seeds) if isinstance(theta, ParamVector) else list(theta)
+        if len(thetas) != len(seeds):
+            raise ConfigError(f"{len(thetas)} parameters for {len(seeds)} seeds")
+    for t in thetas:
+        model.check_theta(t)
     model.check_domain(config.x0)
     if seeds is not None:
-        return _simulate(model, theta, config, [int(s) for s in seeds])
-    slot = _simulate(model, theta, config, [config.seed])[0]
+        return _simulate(model, thetas, config, seeds)
+    slot = _simulate(model, thetas, config, [config.seed])[0]
     if isinstance(slot, SimulationError):
         raise slot
     return slot
 
 
-def _simulate(model, theta, config, seeds):
-    """One slot per seed; rows that leave the domain retry without the rest."""
+def _simulate(model, thetas, config, seeds):
+    """One slot per (theta, seed) row; rows that leave the domain retry without the rest."""
     slots = [None] * len(seeds)
     pending = list(range(len(seeds)))
     bad_steps = {}
     for attempt in range(_MAX_RESIM_ATTEMPTS):
-        row_seeds = [seeds[i] for i in pending]
-        if len(row_seeds) < _BATCH_MIN_ROWS:
-            rows = [_path_attempt(model, theta, config, s, attempt) for s in row_seeds]
+        if len(pending) < _BATCH_MIN_ROWS:
+            rows = [_path_attempt(model, thetas[i], config, seeds[i], attempt) for i in pending]
         else:
-            rows = zip(*_batch_attempt(model, theta, config, row_seeds, attempt))
+            rows = zip(*_batch_attempt(model, [thetas[i] for i in pending], config,
+                                       [seeds[i] for i in pending], attempt))
         retry = []
         for i, (values, bad_step) in zip(pending, rows):
             if bad_step:
@@ -233,13 +250,17 @@ def _path_attempt(model, theta, config, seed, attempt):
     return values, 0
 
 
-def _batch_attempt(model, theta, config, seeds, attempt):
+def _batch_attempt(model, thetas, config, seeds, attempt):
     """One attempt at len(seeds) paths as one array program over rows.
 
     Row r runs the scalar loop's arithmetic in the same order on its own
-    stream, so it equals ``_path_attempt`` for seeds[r] bit for bit.
-    Returns the (rows, n+1) values and each row's first bad step (0: none).
+    stream and parameter, so it equals ``_path_attempt`` for (thetas[r],
+    seeds[r]) bit for bit.  Returns the (rows, n+1) values and each row's
+    first bad step (0: none).
     """
+    # (m, rows) parameter blocks, column r holding thetas[r]
+    theta = ParamVector._wrap(np.stack([t.alpha for t in thetas], axis=1),
+                              np.stack([t.beta for t in thetas], axis=1))
     n, refine = config.n, config.refine
     h = config.delta / refine
     sqh = math.sqrt(h)

@@ -6,6 +6,7 @@ documented as unattainable under this estimation design: they print
 FAIL and are marked xfail rather than being weakened.
 """
 
+import dataclasses
 import math
 import time
 
@@ -30,6 +31,7 @@ from qltest import (
     power_approximation,
     run_table,
 )
+from qltest.estimate import mqle_search
 from qltest.montecarlo import _MC_FIT_OPTS
 
 LEVEL = 0.05
@@ -88,30 +90,56 @@ def cir50():
     return empirical_power(config)
 
 
+_NULL_REPS_N = 1000
+_NULL_REPS_SIM = SimConfig(n=_NULL_REPS_N, delta=float(_NULL_REPS_N) ** (1.0 / 3.0) / _NULL_REPS_N,
+                           x0=1.0, seed=0, refine=30)
+
+
+def _null_rep_seed(rep):
+    return int(np.random.SeedSequence([7, rep]).generate_state(1, dtype=np.uint64)[0])
+
+
+def _null_rep_values(ctx, fit):
+    return _NULL_REPS_N * empirical_l2_distance(ctx, fit.theta_hat, THETA0_OU), fit.theta_hat.full
+
+
 @pytest.fixture(scope="module")
 def ou1000_null_reps():
     """500 replications at the true parameter: headline statistic values
     and fitted parameter vectors (shared by the calibration and the
-    estimator-asymptotics checks)."""
+    estimator-asymptotics checks).  The paths are simulated as one batch
+    and the Nelder-Mead starts of their fits run as one lockstep search,
+    which gives the values of one simulation and one fit per path."""
     model = make_ou()
-    n = 1000
-    delta = float(n) ** (1.0 / 3.0) / n
+    seeds = [_null_rep_seed(rep) for rep in range(500)]
+    paths = euler_maruyama(model, THETA0_OU, _NULL_REPS_SIM, seeds)
+    ctxs = [QLContext(model, path) for path in paths]
     t_values, theta_hats = [], []
-    for rep in range(500):
-        seed = int(
-            np.random.SeedSequence([7, rep]).generate_state(1, dtype=np.uint64)[0]
-        )
-        path = euler_maruyama(
-            model, THETA0_OU, SimConfig(n=n, delta=delta, x0=1.0, seed=seed, refine=30)
-        )
-        ctx = QLContext(model, path)
+    for ctx, search in zip(ctxs, mqle_search(ctxs, _MC_FIT_OPTS)):
+        try:
+            fit = mqle(ctx, _MC_FIT_OPTS, search=search)
+        except EstimationError:
+            fit = mqle(ctx)
+        t, theta_hat = _null_rep_values(ctx, fit)
+        t_values.append(t)
+        theta_hats.append(theta_hat)
+    return np.asarray(t_values), np.asarray(theta_hats)
+
+
+def test_null_reps_equal_the_per_path_loop(ou1000_null_reps):
+    # the batched fixture against one simulation and one fit per path
+    t_values, theta_hats = ou1000_null_reps
+    model = make_ou()
+    for rep in range(20):
+        sim = dataclasses.replace(_NULL_REPS_SIM, seed=_null_rep_seed(rep))
+        ctx = QLContext(model, euler_maruyama(model, THETA0_OU, sim))
         try:
             fit = mqle(ctx, _MC_FIT_OPTS)
         except EstimationError:
             fit = mqle(ctx)
-        t_values.append(n * empirical_l2_distance(ctx, fit.theta_hat, THETA0_OU))
-        theta_hats.append(fit.theta_hat.full)
-    return np.asarray(t_values), np.asarray(theta_hats)
+        t, theta_hat = _null_rep_values(ctx, fit)
+        assert t_values[rep] == t
+        assert np.array_equal(theta_hats[rep], theta_hat)
 
 
 @pytest.fixture(scope="module")

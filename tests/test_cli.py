@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qltest import ExperimentConfig, ParamVector, SamplePath
+from qltest import ExperimentConfig, ParamVector, SamplePath, cli
 from qltest.cli import (
     EXIT_ESTIMATION,
     EXIT_OK,
@@ -280,6 +280,73 @@ def test_path_csv_reads_or_raises_config_error(tmp_path_factory, text):
         assert math.isfinite(path.delta) and path.delta > 0
     code = main(["estimate", "--input", str(csv_path), "--model", "ou"])
     assert code in ((EXIT_USAGE,) if path is None else (EXIT_OK, EXIT_ESTIMATION))
+
+
+@st.composite
+def _bytes_of(draw, text):
+    """Arbitrary bytes, or the UTF-8 bytes of a draw of ``text`` with
+    arbitrary bytes spliced in."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    data = draw(text).encode("utf-8")
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + draw(st.binary(min_size=1, max_size=4)) + data[at:]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=_bytes_of(_path_csv_text()))
+def test_path_csv_bytes_read_or_raise_config_error(tmp_path_factory, data):
+    # any bytes: a path or ConfigError, and ``estimate --input`` exits 0, 2
+    # or 3, never 1 (unexpected)
+    csv_path = tmp_path_factory.mktemp("bytes") / "path.csv"
+    csv_path.write_bytes(data)
+    try:
+        path = SamplePath.from_csv(csv_path)
+    except ConfigError:
+        path = None
+    code = main(["estimate", "--input", str(csv_path), "--model", "ou"])
+    assert code in ((EXIT_USAGE,) if path is None else (EXIT_OK, EXIT_ESTIMATION))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=_bytes_of(st.just(_FULL_CONFIG)))
+def test_config_bytes_parse_or_raise_config_error(tmp_path_factory, data):
+    cfg = tmp_path_factory.mktemp("bytes") / "study.cfg"
+    cfg.write_bytes(data)
+    try:
+        config = parse_config_file(cfg)
+    except ConfigError:
+        return
+    assert isinstance(config, ExperimentConfig)
+
+
+def test_non_utf8_input_exits_2(path_csv, tmp_path, capsys):
+    csv_path = tmp_path / "latin1.csv"
+    csv_path.write_bytes(path_csv.read_bytes().replace(b"t,x", b"t,x\xe9", 1))
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        SamplePath.from_csv(csv_path)
+    assert main(["estimate", "--input", str(csv_path), "--model", "ou"]) == EXIT_USAGE
+    assert str(csv_path) in capsys.readouterr().err
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(_CONFIG.encode() + b"# r\xe9sum\xe9\n")
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        parse_config_file(cfg)
+    assert main(["power", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == EXIT_USAGE
+    assert str(cfg) in capsys.readouterr().err
+
+
+def test_unopenable_input_exits_2(tmp_path, monkeypatch):
+    # a directory, and a file the process may not read
+    assert main(["estimate", "--input", str(tmp_path), "--model", "ou"]) == EXIT_USAGE
+    assert main(["power", "--config", str(tmp_path), "--out", str(tmp_path / "t.csv")]) == EXIT_USAGE
+
+    def denied(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(SamplePath, "from_csv", denied)
+    assert main(["estimate", "--input", "locked.csv", "--model", "ou"]) == EXIT_USAGE
+    monkeypatch.setattr(cli, "parse_config_file", denied)
+    assert main(["power", "--config", "locked.cfg", "--out", str(tmp_path / "t.csv")]) == EXIT_USAGE
 
 
 def test_power_subcommand(tmp_path):

@@ -21,8 +21,10 @@ from qltest import (
     adaptive_estimate,
     euler_maruyama,
     initial_beta,
+    local_alternative,
     make_model,
     mqle,
+    observation_schedule,
     ql_total,
 )
 from qltest.estimate import (
@@ -317,3 +319,27 @@ def test_block_search_equals_single_fits(model_id):
     for ctx, search in zip(ctxs, mqle_search(ctxs, _CHEAP)):
         _assert_fits_equal(mqle(ctx, _CHEAP, search=search), mqle(ctx, _CHEAP))
 
+
+
+@pytest.mark.parametrize("model_id, n, h_grid, reps", [
+    ("ou", 100, (0.0, 0.5, 1.0), 15),
+    ("cir", 1000, (0.0, 0.2), 10),
+])
+def test_table_search_equals_per_cell_searches(model_id, n, h_grid, reps):
+    # a power table searches the paths of all its cells at once; the search
+    # runs until its slowest row stops, which must not move any other row
+    model = make_model(model_id)
+    delta = observation_schedule(n)[1]
+    cells = []
+    for h in h_grid:
+        theta = local_alternative(THETA0[model_id], h, n, delta, model.box)
+        paths = euler_maruyama(model, theta, SimConfig(n=n, delta=delta, x0=1.0, seed=0),
+                               range(100, 100 + reps))
+        cells.append([QLContext(model, path) for path in paths])
+    table = mqle_search([ctx for cell in cells for ctx in cell], _CHEAP)
+    per_cell = [search for cell in cells for search in mqle_search(cell, _CHEAP)]
+    assert len(table) == len(per_cell) == len(h_grid) * reps
+    for (x, fun, nit), (x_ref, fun_ref, nit_ref) in zip(table, per_cell):
+        assert np.array_equal(x, x_ref)
+        assert np.array_equal(fun, fun_ref)
+        assert np.array_equal(nit, nit_ref)

@@ -175,7 +175,9 @@ def test_worker_count_determinism(small_config, tmp_path):
     )
     for config in (small_config, cir_config):
         csvs, tables = [], []
-        for workers in (1, 2, 3):  # 3 workers take uneven blocks: 17, 17, 16
+        # the table's 100 (h, rep) pairs, cell-major: 3 workers take runs of
+        # 34, 34 and 32 pairs, and the second run straddles the two cells
+        for workers in (1, 2, 3):
             out = tmp_path / f"{config.model_id}-{workers}.csv"
             tables.append(run_table(config, out, workers=workers))
             csvs.append(out.read_bytes())

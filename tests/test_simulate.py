@@ -1,6 +1,7 @@
 """Path simulation: determinism, schedule arithmetic, CSV round trips,
 invariant-law moments, domain handling and bit-identity of batched paths."""
 
+import dataclasses
 import functools
 import io
 import math
@@ -124,6 +125,9 @@ def test_sample_path_properties_and_validation():
         SamplePath(delta=0.5, values=[0.0, 1.0])
     with pytest.raises(ConfigError):
         SamplePath(delta=-0.5, values=[0.0, 1.0, 2.0])
+    for delta in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            SamplePath(delta=delta, values=[0.0, 1.0, 2.0])
     with pytest.raises(ConfigError):
         SamplePath(delta=0.5, values=[0.0, math.nan, 2.0])
 
@@ -153,6 +157,9 @@ def test_sample_path_csv_validation():
         SamplePath.from_csv(io.StringIO("t,x\n0,1\n0.1\n0.2,3\n"))  # short row
     with pytest.raises(ConfigError, match="line 2"):
         SamplePath.from_csv(io.StringIO("t,x\n0,1,junk\n0.1,2,9\n0.2,3\n"))  # extra field
+    with pytest.raises(ConfigError, match="positive and finite"):
+        # both steps overflow to inf, so they look equal
+        SamplePath.from_csv(io.StringIO("t,x\n-1.7e308,1\n1.7e308,2\ninf,3\n"))
 
 
 _BATCH_SEEDS = [int(derive_seed_sequence(7, rep).generate_state(1, dtype=np.uint64)[0])
@@ -226,3 +233,75 @@ def test_batch_resimulates_rows_alone():
     assert exhausted == [24]
     assert slots[24].step_index == 4
     assert resimulated == 22
+
+
+# a CIR parameter far from the Feller condition: about half its paths leave
+# (0, inf) at an observation time in their first attempt at n = 100
+_CIR_LEAVING = ParamVector([0.5, 0.5], [1.0])
+
+
+def _single_slot(model, theta, config, seed):
+    """The single-seed call's path values, or its SimulationError."""
+    try:
+        return euler_maruyama(model, theta, dataclasses.replace(config, seed=seed)).values
+    except SimulationError as exc:
+        return exc
+
+
+def _assert_slots_equal_single_calls(model, thetas, config, seeds, slots):
+    assert len(slots) == len(seeds)
+    for theta, seed, slot in zip(thetas, seeds, slots):
+        single = _single_slot(model, theta, config, seed)
+        if isinstance(single, SimulationError):
+            assert isinstance(slot, SimulationError)
+            assert slot.step_index == single.step_index
+        else:
+            assert isinstance(slot, SamplePath)
+            assert np.array_equal(slot.values, single)
+
+
+def _first_attempt_left(model, theta, config, seed):
+    return simulate._path_attempt(model, theta, config, seed, 0)[1] != 0
+
+
+@pytest.mark.parametrize("model_id", ["ou", "cir"])
+def test_per_seed_theta_rows_equal_single_paths(model_id):
+    # three parameters taking turns over the seeds, as the cells of a power
+    # table do; on CIR the third one makes rows resimulate, and enough of
+    # them to retry as a batch of stacked parameters
+    model, theta = _batch_setting(model_id)
+    others = {"ou": [ParamVector([1.2, 0.3], [0.6]), ParamVector([0.2, 1.5], [0.1])],
+              "cir": [ParamVector([0.8, 0.6], [0.3]), _CIR_LEAVING]}[model_id]
+    palette = [theta] + others
+    config = SimConfig(n=100, delta=observation_schedule(100)[1], x0=1.0, seed=0)
+    seeds = _BATCH_SEEDS[:45]
+    thetas = [palette[i % 3] for i in range(len(seeds))]
+    slots = euler_maruyama(model, thetas, config, seeds)
+    _assert_slots_equal_single_calls(model, thetas, config, seeds, slots)
+    if model_id == "cir":
+        left = sum(_first_attempt_left(model, t, config, s) for t, s in zip(thetas, seeds))
+        assert left >= simulate._BATCH_MIN_ROWS
+
+
+def test_per_seed_theta_small_retry_set_keeps_each_rows_theta():
+    # two of ten rows leave the domain in their first attempt: their retry
+    # runs the scalar loop, each with its own parameter
+    model, theta = _batch_setting("cir")
+    config = SimConfig(n=100, delta=observation_schedule(100)[1], x0=1.0, seed=0)
+    leaving = [s for s in _BATCH_SEEDS if _first_attempt_left(model, _CIR_LEAVING, config, s)][:2]
+    staying = [s for s in _BATCH_SEEDS if s not in leaving][:8]
+    seeds = staying + leaving
+    thetas = [theta] * 8 + [_CIR_LEAVING] * 2
+    assert not any(_first_attempt_left(model, theta, config, s) for s in staying)
+    assert 0 < len(leaving) < simulate._BATCH_MIN_ROWS <= len(seeds)
+    slots = euler_maruyama(model, thetas, config, seeds)
+    _assert_slots_equal_single_calls(model, thetas, config, seeds, slots)
+
+
+def test_per_seed_theta_is_checked(ou_model, theta0_ou):
+    config = SimConfig(n=50, delta=0.01, x0=1.0, seed=0)
+    outside = ParamVector([0.5, 6.0], [0.25])
+    with pytest.raises(ConfigError, match="outside the parameter box"):
+        euler_maruyama(ou_model, [theta0_ou] * 5 + [outside], config, list(range(6)))
+    with pytest.raises(ConfigError, match="5 parameters for 6 seeds"):
+        euler_maruyama(ou_model, [theta0_ou] * 5, config, list(range(6)))
