@@ -1,21 +1,22 @@
 """Maximum quasi-likelihood estimation over the compact parameter box.
 
-A fit has two stages.  First a bounded Nelder-Mead search runs from several
-deterministic starts; the starts are rows of one lockstep search that takes,
-row for row, exactly the steps of scipy's per-start
-``minimize(method="Nelder-Mead")``, and the Monte Carlo harness runs the
-starts of a whole block of paths as one such search.  Then the best
-candidates of each path are polished one at a time by a box-constrained
-quasi-Newton method on the scalar objective, driven by finite-difference
-gradients whose stencil is evaluated as one row call of the same objective.
-The adaptive variant alternates one alpha-minimization and one
-beta-minimization, seeded by the plain local-Gaussian diffusion estimator.
+Every fit is one ``_box_fit`` of a flat vector v over a box, theta being
+theta_of(v).  First a bounded Nelder-Mead search runs from several
+deterministic starts as rows of one lockstep search that takes, row for row,
+exactly the steps of scipy's per-start ``minimize(method="Nelder-Mead")``;
+the Monte Carlo harness searches a whole block of paths at once
+(``mqle_search``).  Then the best candidates are polished one at a time by
+L-BFGS-B on the scalar objective, its finite-difference gradient one row
+call of the same objective.  ``mqle`` fits theta whole; ``adaptive_estimate``
+fits beta alone by the local-Gaussian contrast (``initial_beta``), then one
+alpha-step and one beta-step.  Every fit refuses a path of fewer than
+m1 + m2 + 2 observations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize
@@ -27,9 +28,9 @@ from .quasilik import (
     _GRADIENT,
     QLContext,
     _central_difference,
-    _objective,
     _ql_rows,
     _split,
+    _terms,
     ql_total,
 )
 
@@ -54,12 +55,30 @@ _GRAD_TOL = 1e-6
 
 @dataclass(frozen=True)
 class FitOptions:
+    """n_starts: the Nelder-Mead starts of ``mqle``; a fit of one parameter
+    block (``initial_beta``, each adaptive step) takes half as many, at least 4.
+    polish_top: how many of the best searched starts L-BFGS-B polishes (>= 1).
+    """
+
     n_starts: int = 8
     polish_top: int = 2
 
 
 @dataclass(frozen=True)
 class FitResult:
+    """theta_hat: the estimate, in the box; objective: the objective there
+    (U_n for ``initial_beta``, ql_total otherwise).
+    converged: the largest central-difference gradient entry at theta_hat is
+    at most 1e-6 * (1 + |objective|), and theta_hat is not at the boundary.
+    L-BFGS-B often stops first, on its 1e-10 relative objective tolerance.
+    iterations: the Nelder-Mead iterations of every start plus the L-BFGS-B
+    iterations of every polished one; restarts_used: the number of starts.
+    at_boundary: theta_hat is on the polish's bounds, which are inset from
+    the box by 3e-5 * max(1, |bound|).
+    adaptive: the fit of ``adaptive_estimate``: the beta-step's objective,
+    converged if both steps are, at the boundary if either is, counts added.
+    """
+
     theta_hat: ParamVector
     objective: float
     converged: bool
@@ -249,7 +268,8 @@ def _polish(f, f_rows, search, lower, upper, opts: FitOptions):
     guarded row evaluator of this one problem: the FD gradient, of each
     step and of the convergence test, is one ``f_rows`` call over its
     stencil.  ``search`` holds (x, fun, nit) of each start, in start order.
-    Returns (x, objective, converged, iterations, restarts, at_boundary).
+    Returns x, then the fields of ``FitResult`` that follow theta_hat:
+    (x, objective, converged, iterations, restarts, at_boundary).
     """
     f = _safe(f)
     xs, funs, nits = search
@@ -301,12 +321,6 @@ def _polish(f, f_rows, search, lower, upper, opts: FitOptions):
     return x, float(fun), converged, iterations, len(funs), at_boundary
 
 
-def _minimize_box(f, f_rows, starts, lower, upper, opts: FitOptions):
-    """Lockstep Nelder-Mead from ``starts``, then the polish of ``f``."""
-    search = _search(f_rows, np.array(starts), lower, upper)
-    return _polish(f, f_rows, search, lower, upper, opts)
-
-
 def _heuristic_start(ctx: QLContext):
     """Box center for alpha, quadratic-variation scale for beta (m2 = 1)."""
     box = ctx.model.box
@@ -331,6 +345,38 @@ def _heuristic_start(ctx: QLContext):
     return start
 
 
+def _joint_starts(ctx: QLContext, opts: FitOptions):
+    """The starts of a fit of the whole parameter over the box."""
+    box = ctx.model.box
+    return _start_points(box.lower, box.upper, opts.n_starts, extra=_heuristic_start(ctx))
+
+
+def _block_starts(lower, upper, opts: FitOptions, extra=None):
+    """The starts of a fit of one parameter block: half as many, at least 4."""
+    return _start_points(lower, upper, max(4, opts.n_starts // 2), extra=extra)
+
+
+def _box_fit(ctx: QLContext, theta_of, lower, upper, starts, opts: FitOptions,
+             terms=None, search=None) -> FitResult:
+    """Fit v over [lower, upper] on the path of ctx, with theta = theta_of(v).
+
+    The objective sums ``terms`` at theta (see ``_ql_rows``), ql_total by
+    default.  The search runs from ``starts`` unless its result is handed in.
+    """
+    model = ctx.model
+    if ctx.path.n + 1 < model.m1 + model.m2 + 2:
+        raise EstimationError("path too short for the number of parameters")
+    f_rows = _guarded(_ql_rows([ctx], theta_of, terms=terms or _terms))
+    # the polish's scalar objective; ql_total is looked up at each call, as
+    # the benchmark's traced run wraps it to count evaluations
+    f = ((lambda v: ql_total(ctx, theta_of(v))) if terms is None
+         else (lambda v: f_rows(None, v[None])[0]))
+    if search is None:
+        search = _search(f_rows, np.array(starts), lower, upper)
+    x, *outcome = _polish(f, f_rows, search, lower, upper, opts)
+    return FitResult(theta_of(np.clip(x, lower, upper)), *outcome)
+
+
 def mqle_search(ctxs, opts: FitOptions = FitOptions()):
     """The Nelder-Mead stage of ``mqle`` on several paths as one lockstep search.
 
@@ -340,10 +386,7 @@ def mqle_search(ctxs, opts: FitOptions = FitOptions()):
     """
     model = ctxs[0].model
     box, m1 = model.box, model.m1
-    starts = [
-        _start_points(box.lower, box.upper, opts.n_starts, extra=_heuristic_start(ctx))
-        for ctx in ctxs
-    ]
+    starts = [_joint_starts(ctx, opts) for ctx in ctxs]
     counts = [len(s) for s in starts]
     row_ctx = np.repeat(np.arange(len(ctxs)), counts)
     f_rows = _guarded(_ql_rows(ctxs, _split(m1), row_ctx))
@@ -358,27 +401,10 @@ def mqle(ctx: QLContext, opts: FitOptions = FitOptions(), *, search=None) -> Fit
     ``search`` is this path's result from ``mqle_search``, when the
     Nelder-Mead stage already ran with other paths; by default it runs here.
     """
-    model = ctx.model
-    if ctx.path.n + 1 < model.m1 + model.m2 + 2:
-        raise EstimationError("path too short for the number of parameters")
-    box = model.box
-    m1, m2 = model.m1, model.m2
-    if search is None:
-        (search,) = mqle_search([ctx], opts)
-    # the polish evaluates through this module's ql_total binding, which the
-    # benchmark's traced run wraps to count evaluations
-    x, fun, converged, iters, restarts, at_boundary = _polish(
-        _objective(ctx, ql_total), _guarded(_ql_rows([ctx], _split(m1))),
-        search, box.lower, box.upper, opts,
-    )
-    return FitResult(
-        theta_hat=ParamVector.from_full(box.clip(x), m1, m2),
-        objective=fun,
-        converged=converged,
-        iterations=iters,
-        restarts_used=restarts,
-        at_boundary=at_boundary,
-    )
+    box = ctx.model.box
+    starts = _joint_starts(ctx, opts) if search is None else None
+    return _box_fit(ctx, _split(ctx.model.m1), box.lower, box.upper, starts, opts,
+                    search=search)
 
 
 def initial_beta(ctx: QLContext, opts: FitOptions = FitOptions()) -> FitResult:
@@ -387,9 +413,8 @@ def initial_beta(ctx: QLContext, opts: FitOptions = FitOptions()) -> FitResult:
     Minimizes U_n(beta) = (1/2) sum { (X_i - X_{i-1})^2 / (delta c) + log c }
     over the beta box; alpha in the returned vector is the box center.
     """
-    model = ctx.model
-    m1, m2 = model.m1, model.m2
-    box = model.box
+    m1 = ctx.model.m1
+    box = ctx.model.box
     lower, upper = box.lower[m1:], box.upper[m1:]
     dx2 = np.diff(ctx.path.values) ** 2
     alpha_c = box.center()[:m1]
@@ -399,56 +424,27 @@ def initial_beta(ctx: QLContext, opts: FitOptions = FitOptions()) -> FitResult:
         c = model.diffsq(theta, xprev)
         return 0.5 * (dx2 / (delta * c) + np.log(c))
 
-    f_rows = _guarded(_ql_rows([ctx], lambda bv: ParamVector._wrap(alpha_c, bv), terms=u_terms))
-    starts = _start_points(lower, upper, max(4, opts.n_starts // 2))
-    x, fun, converged, iters, restarts, at_boundary = _minimize_box(
-        lambda bv: f_rows(None, bv[None])[0], f_rows, starts, lower, upper, opts
-    )
-    beta = np.clip(x, lower, upper)
-    return FitResult(
-        theta_hat=ParamVector(alpha_c, beta),
-        objective=fun,
-        converged=converged,
-        iterations=iters,
-        restarts_used=restarts,
-        at_boundary=at_boundary,
-    )
+    return _box_fit(ctx, lambda bv: ParamVector._wrap(alpha_c, bv), lower, upper,
+                    _block_starts(lower, upper, opts), opts, terms=u_terms)
 
 
 def adaptive_estimate(ctx: QLContext, opts: FitOptions = FitOptions()) -> FitResult:
     """One alpha-step then one beta-step, started from initial_beta."""
-    model = ctx.model
-    m1, m2 = model.m1, model.m2
-    box = model.box
+    m1 = ctx.model.m1
+    box = ctx.model.box
     beta0 = initial_beta(ctx, opts).theta_hat.beta
 
-    def step(lower, upper, starts, theta_of):
-        return _minimize_box(
-            lambda v: ql_total(ctx, theta_of(v)),
-            _guarded(_ql_rows([ctx], theta_of)),
-            starts, lower, upper, opts,
-        )
+    lower, upper = box.lower[:m1], box.upper[:m1]
+    step_a = _box_fit(ctx, lambda av: ParamVector._wrap(av, beta0), lower, upper,
+                      _block_starts(lower, upper, opts), opts)
+    alpha1 = step_a.theta_hat.alpha
 
-    lower_a, upper_a = box.lower[:m1], box.upper[:m1]
-    starts_a = _start_points(lower_a, upper_a, max(4, opts.n_starts // 2))
-    xa, fa, conv_a, it_a, rs_a, bd_a = step(
-        lower_a, upper_a, starts_a, lambda av: ParamVector._wrap(av, beta0)
-    )
-    alpha1 = np.clip(xa, lower_a, upper_a)
+    lower, upper = box.lower[m1:], box.upper[m1:]
+    step_b = _box_fit(ctx, lambda bv: ParamVector._wrap(alpha1, bv), lower, upper,
+                      _block_starts(lower, upper, opts, extra=beta0), opts)
 
-    lower_b, upper_b = box.lower[m1:], box.upper[m1:]
-    starts_b = _start_points(lower_b, upper_b, max(4, opts.n_starts // 2), extra=beta0)
-    xb, fb, conv_b, it_b, rs_b, bd_b = step(
-        lower_b, upper_b, starts_b, lambda bv: ParamVector._wrap(alpha1, bv)
-    )
-    beta1 = np.clip(xb, lower_b, upper_b)
-
-    return FitResult(
-        theta_hat=ParamVector(alpha1, beta1),
-        objective=float(fb),
-        converged=bool(conv_a and conv_b),
-        iterations=it_a + it_b,
-        restarts_used=rs_a + rs_b,
-        at_boundary=bool(bd_a or bd_b),
-        adaptive=True,
-    )
+    return replace(step_b, adaptive=True,
+                   converged=step_a.converged and step_b.converged,
+                   iterations=step_a.iterations + step_b.iterations,
+                   restarts_used=step_a.restarts_used + step_b.restarts_used,
+                   at_boundary=step_a.at_boundary or step_b.at_boundary)

@@ -223,23 +223,8 @@ def fd_hessian(f, x, lower=None, upper=None) -> np.ndarray:
     return _central_difference(_HESSIAN, _scalar_loop(f), x, lower, upper)
 
 
-def _objective(ctx: QLContext, total=ql_total):
-    """``total`` as a function of the flat vector v = (alpha, beta).
-
-    v is the optimizer's or the finite-difference stencil's float array; theta
-    wraps views of it, without the copy and checks of ``ParamVector``.
-    """
-    m1 = ctx.model.m1
-    wrap = ParamVector._wrap
-
-    def f(v):
-        return total(ctx, wrap(v[:m1], v[m1:]))
-
-    return f
-
-
 def _split(m1):
-    """theta of a (d, k, 1) block of flat points v = (alpha, beta)."""
+    """theta of a flat point v = (alpha, beta), or of a (d, k, 1) block of them."""
     return lambda block: ParamVector._wrap(block[:m1], block[m1:])
 
 

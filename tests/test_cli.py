@@ -131,6 +131,22 @@ def test_estimate_malformed_csv_row_exits_2(tmp_path, bad_row):
     assert main(["estimate", "--input", str(csv_path), "--model", "ou"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", [
+    ["estimate"],
+    ["estimate", "--adaptive"],
+    ["test", "--null", "0.5,0.5,0.25", "--stat", "step"],
+])
+@pytest.mark.parametrize("observations", [3, 4])
+def test_path_too_short_for_the_model_exits_3(tmp_path, capsys, command, observations):
+    # OU has m1 + m2 = 3 parameters: every estimator needs 5 observations
+    csv_path = tmp_path / "short.csv"
+    rows = [f"{0.1 * i!r},{x!r}" for i, x in enumerate([1.0, 1.05, 0.98, 1.02][:observations])]
+    csv_path.write_text("\n".join(["t,x"] + rows) + "\n")
+    code = main(command + ["--input", str(csv_path), "--model", "ou"])
+    assert code == EXIT_ESTIMATION
+    assert "path too short" in capsys.readouterr().err
+
+
 def test_bs_without_threshold_exits_2(path_csv):
     code = main([
         "test", "--input", str(path_csv), "--model", "ou",

@@ -27,6 +27,7 @@ from qltest import (
     observation_schedule,
     ql_total,
 )
+from qltest import estimate
 from qltest.estimate import (
     _BIG,
     _NM_FATOL,
@@ -39,7 +40,9 @@ from qltest.estimate import (
     _start_points,
     mqle_search,
 )
-from qltest.quasilik import _CHUNK_VALUES, _objective, _ql_rows, _split
+from qltest.quasilik import _CHUNK_VALUES, _ql_rows, _split
+
+from oracles import objective
 
 THETA0 = {
     "ou": ParamVector([0.5, 0.5], [0.25]),
@@ -93,7 +96,7 @@ def _full_problem(ctxs, starts_per_path, extra_starts=()):
         row_ctx.append(i)
     row_ctx = np.array(row_ctx)
     f_rows = _guarded(_ql_rows(ctxs, _split(m1), row_ctx))
-    objectives = [_safe(_objective(ctxs[i], ql_total)) for i in row_ctx]
+    objectives = [_safe(objective(ctxs[i])) for i in row_ctx]
     return f_rows, np.array(starts), objectives, box
 
 
@@ -244,7 +247,7 @@ def _reference_mqle(ctx, opts=FitOptions()):
     box = model.box
     starts = _start_points(box.lower, box.upper, opts.n_starts, extra=_heuristic_start(ctx))
     x, fun, conv, iters, restarts, at_b = _reference_box(
-        _objective(ctx, ql_total), starts, box.lower, box.upper, opts)
+        objective(ctx), starts, box.lower, box.upper, opts)
     return FitResult(ParamVector.from_full(box.clip(x), model.m1, model.m2), fun, conv,
                      iters, restarts, at_b)
 
@@ -310,6 +313,20 @@ def test_fits_equal_scipy_reference(model_id, n):
         _assert_fits_equal(mqle(ctx, _CHEAP), _reference_mqle(ctx, _CHEAP))
         _assert_fits_equal(initial_beta(ctx), _reference_initial_beta(ctx))
         _assert_fits_equal(adaptive_estimate(ctx), _reference_adaptive(ctx))
+
+
+def test_references_run_without_the_box_fit(monkeypatch):
+    # the references share no code with the fits' one box-fit routine, so
+    # the comparison above does not check that routine against itself
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a reference called estimate._box_fit")
+
+    monkeypatch.setattr(estimate, "_box_fit", forbidden)
+    (ctx,) = _ctxs("ou", 100, 1)
+    _reference_mqle(ctx, _CHEAP)
+    _reference_adaptive(ctx, _CHEAP)
+    with pytest.raises(AssertionError, match="_box_fit"):
+        mqle(ctx, _CHEAP)
 
 
 @pytest.mark.parametrize("model_id", ["ou", "cir"])

@@ -37,7 +37,9 @@ from qltest import (
 from qltest import quasilik
 from qltest.estimate import _BIG, _safe
 from qltest.montecarlo import _statistic_values
-from qltest.quasilik import _objective, fd_gradient, fd_hessian
+from qltest.quasilik import fd_gradient, fd_hessian
+
+from oracles import objective
 
 
 @pytest.fixture()
@@ -238,7 +240,7 @@ def stencil_cases():
 
 def _scalar_hessian(ctx, theta):
     box = ctx.model.box
-    return fd_hessian(_objective(ctx), theta.full, box.lower, box.upper)
+    return fd_hessian(objective(ctx), theta.full, box.lower, box.upper)
 
 
 # the central differences written out one coordinate (pair) at a time: the
@@ -311,7 +313,7 @@ def test_fd_rules_equal_the_written_out_loops():
 def test_row_stencils_equal_scalar_loop(stencil_cases, monkeypatch):
     for ctx, theta in stencil_cases:
         box = ctx.model.box
-        f = _objective(ctx)
+        f = objective(ctx)
         grad = ql_grad(ctx, theta)
         assert np.array_equal(grad, fd_gradient(f, theta.full, box.lower, box.upper))
         assert np.array_equal(grad, _loop_gradient(f, theta.full))
@@ -358,7 +360,7 @@ def test_polish_jac_equals_scalar_loop_on_safe_objective(stencil_cases, nan_ctx,
     for ctx, theta in stencil_cases[::2] + [(nan_ctx, _THETA0["ou"])]:
         del jacs[:]
         mqle(ctx, FitOptions(n_starts=2, polish_top=1))
-        f = _safe(_objective(ctx))
+        f = _safe(objective(ctx))
         points = [theta.full, _THETA0[ctx.model.name].full]
         if ctx is nan_ctx:
             points.append(_NEAR_NAN)
@@ -383,7 +385,7 @@ def test_stencil_within_a_step_of_the_box_raises_boundary_error(ou_ctx_1000, coo
         with pytest.raises(BoundaryError) as row_exc:
             rows(ou_ctx_1000, theta)
         with pytest.raises(BoundaryError) as scalar_exc:
-            scalar(_objective(ou_ctx_1000), v, box.lower, box.upper)
+            scalar(objective(ou_ctx_1000), v, box.lower, box.upper)
         assert row_exc.value.coordinate == scalar_exc.value.coordinate == coordinate
 
 
@@ -403,7 +405,7 @@ def test_stencil_point_with_zero_diffusion_raises_domain_error(ou_ctx_1000):
         with pytest.raises(DomainError):
             rows(ctx, theta)
         with pytest.raises(DomainError):
-            scalar(_objective(ctx), theta.full)
+            scalar(objective(ctx), theta.full)
 
 
 def test_non_finite_stencil_value_leaves_information_non_finite(nan_ctx):
