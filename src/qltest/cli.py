@@ -5,12 +5,15 @@ Exit codes: 0 ok, 2 usage/config, 3 estimation failure, 4 rao-undefined,
 number, in a flag or a config value, is a config error (exit 2) naming the
 flag or the ``path:key``.  The ``test`` command's ``--stat`` choices are the
 ``hypotests`` registry's kinds plus ``step``, and every kind but ``step`` is
-evaluated through that registry.
+evaluated through that registry.  One table, ``_CONFIG_KEYS``, defines the
+power-study config keys: ``parse_config_file`` reads a config through it, and
+``power`` writes the ``<out>.config.txt`` sidecar through it, which reads back.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -46,16 +49,25 @@ EXIT_RAO = 4
 EXIT_BUDGET = 5
 
 
-def _number(text: str, convert, where: str):
-    """``convert(text)``; ConfigError naming ``where`` when it does not parse."""
-    try:
-        return convert(text)
-    except ValueError:
-        raise ConfigError(f"{where}: cannot read {text!r} as {convert.__name__}") from None
+def _reader(convert):
+    """A reader of ``convert(text)`` that raises ConfigError naming ``where``
+    when the text does not convert."""
+    def read(text: str, where: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise ConfigError(f"{where}: cannot read {text!r} as {convert.__name__}") from None
+    return read
 
 
 def _parse_floats(text: str, where: str):
-    return [_number(p, float, where) for p in text.split(",") if p.strip() != ""]
+    read = _reader(float)
+    return [read(p, where) for p in text.split(",") if p.strip() != ""]
+
+
+def _reals_text(values) -> str:
+    """A float or floats as text that reads back to the same floats."""
+    return ",".join(repr(float(v)) for v in np.atleast_1d(values))
 
 
 def _parse_theta(text: str, where: str) -> ParamVector:
@@ -112,6 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_simulate(args) -> int:
     theta = _parse_theta(args.theta, "--theta")
     model = make_model(args.model)
+    if not model.in_domain(args.x0):
+        raise ConfigError(f"--x0: {args.x0!r} lies outside the open state domain {model.state_domain}")
     delta = args.delta if args.delta is not None else observation_schedule(args.n)[1]
     config = SimConfig(n=args.n, delta=delta, x0=args.x0, seed=args.seed, refine=args.refine)
     path = euler_maruyama(model, theta, config)
@@ -119,9 +133,17 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _read_path(args, model) -> SamplePath:
+    """The ``--input`` path; ConfigError when a value lies outside the state domain."""
+    path = SamplePath.from_csv(args.input)
+    if not model.in_domain(path.values):
+        raise ConfigError(f"--input: a state value lies outside the open domain {model.state_domain}")
+    return path
+
+
 def cmd_estimate(args) -> int:
     model = make_model(args.model)
-    path = SamplePath.from_csv(args.input)
+    path = _read_path(args, model)
     ctx = QLContext(model, path)
     fit = adaptive_estimate(ctx) if args.adaptive else mqle(ctx)
     record = {
@@ -142,8 +164,10 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_test(args) -> int:
+    if not 0.0 < args.level < 1.0:
+        raise ConfigError(f"--level: {args.level!r} does not lie in (0, 1)")
     model = make_model(args.model)
-    path = SamplePath.from_csv(args.input)
+    path = _read_path(args, model)
     ctx = QLContext(model, path)
     theta0 = _parse_theta(args.null, "--null")
     model.check_theta(theta0)
@@ -181,23 +205,29 @@ def cmd_test(args) -> int:
     return EXIT_OK
 
 
+# Each config key: its ExperimentConfig field, a reader of its text and a
+# writer of the field's value back to text.  The keys of the fields without
+# a default are required; the two box keys are the bounds of the one ParamBox
+# and come together.
 _CONFIG_KEYS = {
-    "model.id",
-    "model.theta0",
-    "model.box.lower",
-    "model.box.upper",
-    "sim.n",
-    "sim.refine",
-    "sim.x0",
-    "mc.replications",
-    "mc.level",
-    "mc.h_grid",
-    "mc.master_seed",
-    "mc.statistics",
-    "mc.threshold_mode",
+    "model.id": ("model_id", _reader(str), str),
+    "model.theta0": ("theta0", _parse_theta, lambda theta: _reals_text(theta.full)),
+    "model.box.lower": ("box", _parse_floats, lambda box: _reals_text(box.lower)),
+    "model.box.upper": ("box", _parse_floats, lambda box: _reals_text(box.upper)),
+    "sim.n": ("n", _reader(int), str),
+    "sim.refine": ("refine", _reader(int), str),
+    "sim.x0": ("x0", _reader(float), _reals_text),
+    "mc.replications": ("replications", _reader(int), str),
+    "mc.level": ("level", _reader(float), _reals_text),
+    "mc.h_grid": ("h_grid", _parse_floats, _reals_text),
+    "mc.master_seed": ("master_seed", _reader(int), str),
+    "mc.statistics": ("statistics", lambda text, where: [s.strip() for s in text.split(",")],
+                      ",".join),
+    "mc.threshold_mode": ("threshold_mode", _reader(str), str),
 }
 
-_REQUIRED_KEYS = {"model.id", "model.theta0", "sim.n", "mc.replications", "mc.h_grid", "mc.master_seed"}
+_REQUIRED_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)
+                    if f.default is dataclasses.MISSING}
 
 
 def parse_config_file(path) -> ExperimentConfig:
@@ -221,44 +251,37 @@ def parse_config_file(path) -> ExperimentConfig:
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         values[key] = val
-    missing = _REQUIRED_KEYS - values.keys()
+    given = {_CONFIG_KEYS[key][0] for key in values}
+    missing = [key for key, (field, _, _) in _CONFIG_KEYS.items()
+               if key not in values and (field in _REQUIRED_FIELDS or field in given)]
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
-
-    def number(key, convert):
-        return _number(values[key], convert, f"{path}:{key}")
-
-    def floats(key):
-        return np.array(_parse_floats(values[key], f"{path}:{key}"))
-
-    if ("model.box.lower" in values) != ("model.box.upper" in values):
-        raise ConfigError("model.box.lower and model.box.upper must be given together")
-    # the optional keys present in the file; ExperimentConfig holds the defaults
-    optional = {}
-    if "model.box.lower" in values:
-        optional["box"] = ParamBox(floats("model.box.lower"), floats("model.box.upper"))
-    if "mc.statistics" in values:
-        optional["statistics"] = tuple(s.strip() for s in values["mc.statistics"].split(","))
-    if "mc.threshold_mode" in values:
-        optional["threshold_mode"] = values["mc.threshold_mode"]
-    for key, field, convert in (("mc.level", "level", float), ("sim.refine", "refine", int),
-                                ("sim.x0", "x0", float)):
+    # each field's values, one per key in table order; the unset fields keep
+    # the ExperimentConfig defaults
+    read = {}
+    for key, (field, reader, _) in _CONFIG_KEYS.items():
         if key in values:
-            optional[field] = number(key, convert)
-    return ExperimentConfig(
-        model_id=values["model.id"],
-        theta0=_parse_theta(values["model.theta0"], f"{path}:model.theta0"),
-        n=number("sim.n", int),
-        h_grid=tuple(floats("mc.h_grid")),
-        replications=number("mc.replications", int),
-        master_seed=number("mc.master_seed", int),
-        **optional,
-    )
+            read.setdefault(field, []).append(reader(values[key], f"{path}:{key}"))
+    if "box" in read:
+        read["box"] = [ParamBox(*read["box"])]
+    return ExperimentConfig(**{field: value for field, (value,) in read.items()})
+
+
+def config_text(config: ExperimentConfig) -> str:
+    """``config`` as a config file, one sorted line per key of a set field,
+    which ``parse_config_file`` reads back to the same text."""
+    lines = [f"{key} = {write(getattr(config, field))}"
+             for key, (field, _, write) in sorted(_CONFIG_KEYS.items())
+             if getattr(config, field) is not None]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_power(args) -> int:
+    """Write the table to ``--out`` and its config to ``<out>.config.txt``."""
     config = parse_config_file(args.config)
     run_table(config, args.out, workers=args.workers)
+    with open(f"{args.out}.config.txt", "w", encoding="utf-8") as fh:
+        fh.write(config_text(config))
     return EXIT_OK
 
 

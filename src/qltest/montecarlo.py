@@ -356,32 +356,8 @@ def empirical_power(config: ExperimentConfig, workers: int = 1) -> PowerTable:
     )
 
 
-def _config_echo_lines(config: ExperimentConfig):
-    items = {
-        "mc.h_grid": ",".join(repr(h) for h in config.h_grid),
-        "mc.level": repr(config.level),
-        "mc.master_seed": str(config.master_seed),
-        "mc.replications": str(config.replications),
-        "mc.statistics": ",".join(config.statistics),
-        "mc.threshold_mode": config.threshold_mode,
-        "model.id": config.model_id,
-        "model.theta0": ",".join(repr(v) for v in config.theta0.full),
-        "sim.delta": repr(config.delta),
-        "sim.n": str(config.n),
-        "sim.refine": str(config.refine),
-        "sim.x0": repr(config.x0),
-    }
-    if config.box is not None:
-        items["model.box.lower"] = ",".join(repr(v) for v in config.box.lower)
-        items["model.box.upper"] = ",".join(repr(v) for v in config.box.upper)
-    return [f"{k} = {items[k]}" for k in sorted(items)]
-
-
 def run_table(config: ExperimentConfig, out_csv, workers: int = 1) -> PowerTable:
-    """Run the full study, write the CSV and a config-echo sidecar."""
+    """Run the full study and write its CSV."""
     table = empirical_power(config, workers)
     table.to_csv(out_csv)
-    sidecar = str(out_csv) + ".config.txt"
-    with open(sidecar, "w") as fh:
-        fh.write("\n".join(_config_echo_lines(config)) + "\n")
     return table

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qltest import ExperimentConfig, ParamVector, SamplePath, cli
+from qltest import ExperimentConfig, ParamVector, SamplePath, cli, make_model
 from qltest.cli import (
     EXIT_ESTIMATION,
     EXIT_OK,
     EXIT_RAO,
     EXIT_USAGE,
+    config_text,
     main,
     parse_config_file,
 )
@@ -65,6 +66,33 @@ def test_non_numeric_theta_exits_2(path_csv, tmp_path, capsys):
     ])
     assert code == EXIT_USAGE
     assert "--null" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level", ["1.5", "nan", "0", "1"])
+def test_level_outside_the_unit_interval_exits_2(path_csv, capsys, level):
+    code = main([
+        "test", "--input", str(path_csv), "--model", "ou",
+        "--null", "0.5,0.5,0.25", "--stat", "t", "--level", level,
+    ])
+    assert code == EXIT_USAGE
+    assert "--level" in capsys.readouterr().err
+
+
+def test_state_outside_the_domain_exits_2(path_csv, tmp_path, capsys):
+    code = main([
+        "simulate", "--model", "cir", "--theta", "0.5,0.5,0.125",
+        "--n", "50", "--seed", "1", "--x0", "-1", "--out", str(tmp_path / "x.csv"),
+    ])
+    assert code == EXIT_USAGE
+    assert "--x0" in capsys.readouterr().err
+    rows = path_csv.read_text().splitlines()
+    rows[3] = rows[3].split(",")[0] + ",-1.0"
+    negative = tmp_path / "negative.csv"
+    negative.write_text("\n".join(rows) + "\n")
+    for command in (["estimate"], ["test", "--null", "0.5,0.5,0.125", "--stat", "t"]):
+        code = main(command + ["--input", str(negative), "--model", "cir"])
+        assert code == EXIT_USAGE
+        assert "--input" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2(tmp_path):
@@ -228,6 +256,14 @@ def test_non_numeric_config_value_names_the_key(tmp_path, capsys):
     assert f"{cfg}:sim.n" in capsys.readouterr().err
 
 
+def _assert_sidecar_reads_back(config, path):
+    """The sidecar text of an accepted config, written to ``path``, reads
+    back to a config whose sidecar text is the same."""
+    text = config_text(config)
+    path.write_text(text, encoding="utf-8")
+    assert config_text(parse_config_file(path)) == text
+
+
 # every key whose value is read as a number or a list of numbers
 _NUMERIC_KEYS = ("model.theta0", "model.box.lower", "model.box.upper", "sim.n", "sim.refine",
                  "sim.x0", "mc.replications", "mc.level", "mc.h_grid", "mc.master_seed")
@@ -248,7 +284,7 @@ def test_numeric_config_value_parses_or_raises_config_error(tmp_path_factory, ke
         config = parse_config_file(cfg)
     except ConfigError:
         return
-    assert isinstance(config, ExperimentConfig)
+    _assert_sidecar_reads_back(config, cfg)
 
 
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
@@ -313,15 +349,17 @@ def _bytes_of(draw, text):
 @given(data=_bytes_of(_path_csv_text()))
 def test_path_csv_bytes_read_or_raise_config_error(tmp_path_factory, data):
     # any bytes: a path or ConfigError, and ``estimate --input`` exits 0, 2
-    # or 3, never 1 (unexpected)
+    # or 3, never 1 (unexpected); 2 also on a path outside the model's domain
     csv_path = tmp_path_factory.mktemp("bytes") / "path.csv"
     csv_path.write_bytes(data)
     try:
         path = SamplePath.from_csv(csv_path)
     except ConfigError:
         path = None
-    code = main(["estimate", "--input", str(csv_path), "--model", "ou"])
-    assert code in ((EXIT_USAGE,) if path is None else (EXIT_OK, EXIT_ESTIMATION))
+    for model in ("ou", "cir"):
+        accepted = path is not None and make_model(model).in_domain(path.values)
+        code = main(["estimate", "--input", str(csv_path), "--model", model])
+        assert code in ((EXIT_OK, EXIT_ESTIMATION) if accepted else (EXIT_USAGE,))
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -333,7 +371,7 @@ def test_config_bytes_parse_or_raise_config_error(tmp_path_factory, data):
         config = parse_config_file(cfg)
     except ConfigError:
         return
-    assert isinstance(config, ExperimentConfig)
+    _assert_sidecar_reads_back(config, cfg)
 
 
 def test_non_utf8_input_exits_2(path_csv, tmp_path, capsys):
@@ -374,6 +412,29 @@ def test_power_subcommand(tmp_path):
     assert text[0].startswith("model,n,delta,")
     assert len(text) == 1 + 2  # two h rows, one statistic
     assert (tmp_path / "table.csv.config.txt").exists()
+
+
+def test_power_reruns_from_its_sidecar(tmp_path):
+    # the sidecar is the study's config: every key, sorted, and not the
+    # derived delta (every CSV row has it); a rerun from it gives the same
+    # bytes.  The optional keys are off their defaults, so a key the sidecar
+    # lost would show in the rerun.
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(_CONFIG + "model.box.lower = 0.02,0.02,0.02\nmodel.box.upper = 4.5,4.5,4.5\n"
+                   "sim.refine = 20\nsim.x0 = 0.9\nmc.level = 0.1\nmc.threshold_mode = asymptotic\n")
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    assert main(["power", "--config", str(cfg), "--out", str(first)]) == EXIT_OK
+    sidecar = (tmp_path / "first.csv.config.txt").read_text()
+    assert "mc.master_seed = 3" in sidecar
+    assert "model.theta0 = 0.5,0.5,0.25" in sidecar
+    lines = sidecar.strip().splitlines()
+    assert lines == sorted(lines)
+    assert [line.split(" = ")[0] for line in lines] == sorted(cli._CONFIG_KEYS)
+    code = main(["power", "--config", str(tmp_path / "first.csv.config.txt"),
+                 "--out", str(again), "--workers", "2"])
+    assert code == EXIT_OK
+    assert again.read_bytes() == first.read_bytes()
+    assert (tmp_path / "again.csv.config.txt").read_text() == sidecar
 
 
 def test_power_x0_outside_the_domain_exits_2(tmp_path, capsys):

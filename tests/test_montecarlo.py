@@ -183,11 +183,6 @@ def test_worker_count_determinism(small_config, tmp_path):
             csvs.append(out.read_bytes())
         assert csvs[0] == csvs[1] == csvs[2]
         assert tables[0].epow == tables[1].epow == tables[2].epow
-    # the config-echo sidecar is written next to the CSV
-    sidecar = (tmp_path / "ou-1.csv.config.txt").read_text()
-    assert "mc.master_seed = 7" in sidecar
-    lines = [l for l in sidecar.strip().splitlines()]
-    assert lines == sorted(lines)
 
 
 def test_replication_seed_is_the_derived_sub_seed():
