@@ -1,25 +1,30 @@
 """Maximum quasi-likelihood estimation over the compact parameter box.
 
-Every fit is one ``_box_fit`` of a flat vector v over a box, theta being
-theta_of(v).  First a bounded Nelder-Mead search runs from several
+Every fit is of a flat vector v over a box, theta being theta_of(v), in
+three stages.  First a bounded Nelder-Mead search runs from several
 deterministic starts as rows of one lockstep search that takes, row for row,
-exactly the steps of scipy's per-start ``minimize(method="Nelder-Mead")``;
-the Monte Carlo harness searches a whole block of paths at once
-(``mqle_search``).  Then the best candidates are polished one at a time by
-L-BFGS-B on the scalar objective, its finite-difference gradient one row
-call of the same objective.  ``mqle`` fits theta whole; ``adaptive_estimate``
-fits beta alone by the local-Gaussian contrast (``initial_beta``), then one
-alpha-step and one beta-step.  Every fit refuses a path of fewer than
-m1 + m2 + 2 observations.
+exactly the steps of scipy's per-start ``minimize(method="Nelder-Mead")``.
+Then the best searched starts are polished by L-BFGS-B in lockstep
+(``_lbfgsb``), each taking exactly the steps of scipy's per-candidate
+``minimize(method="L-BFGS-B")``: its objective is the scalar ql_total, and
+the finite-difference gradients of a round are one row call.  Last, each
+path's fit is judged on its own: the best candidate, its boundary flag and
+its gradient test.  A single fit (``_box_fit``) is a block of one path; the
+Monte Carlo harness searches and polishes a whole block of paths at once
+(``mqle_search``) and judges each path with ``mqle``.  ``mqle`` fits theta
+whole; ``adaptive_estimate`` fits beta alone by the local-Gaussian contrast
+(``initial_beta``), then one alpha-step and one beta-step.  Every fit
+refuses a path of fewer than m1 + m2 + 2 observations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
+from scipy.optimize import _lbfgsb as _lbfgsb_mod
 from scipy.stats import qmc
 
 from .errors import EstimationError
@@ -29,6 +34,7 @@ from .quasilik import (
     QLContext,
     _central_difference,
     _ql_rows,
+    _row_gradients,
     _split,
     _terms,
     ql_total,
@@ -46,11 +52,18 @@ _NONZDELT, _ZDELT = 0.05, 0.00025
 # Nelder-Mead tolerances on x and f
 _NM_XATOL, _NM_FATOL = 1e-4, 1e-8
 
-# L-BFGS-B polish: iteration cap and relative objective tolerance; a fit
-# converged when its largest FD gradient entry is <= _GRAD_TOL * (1 + |f|)
+# L-BFGS-B polish: iteration cap, relative objective tolerance and
+# projected-gradient tolerance; a fit converged when its largest FD gradient
+# entry is <= _GRAD_TOL * (1 + |f|)
 _POLISH_MAXITER = 500
 _OBJ_REL_TOL = 1e-10
+_PGTOL = 1e-9
 _GRAD_TOL = 1e-6
+
+# scipy 1.17's L-BFGS-B defaults: corrections kept, line-search steps per
+# iteration and evaluation budget; and the ``setulb`` task codes it reads
+_LBFGSB_M, _LBFGSB_MAXLS, _LBFGSB_MAXFUN = 10, 20, 15000
+_NEW_X, _FG, _STOP = 1, 3, 5
 
 
 @dataclass(frozen=True)
@@ -261,64 +274,161 @@ def _search(f_rows, starts, lower, upper):
     return _nelder_mead(f_rows, starts, lower, upper, _NM_XATOL, _NM_FATOL, maxfev)
 
 
-def _polish(f, f_rows, search, lower, upper, opts: FitOptions):
-    """L-BFGS-B polish of one problem's best searched starts.
+def _lbfgsb(fun, grad, x0, lower, upper, maxiter=_POLISH_MAXITER):
+    """Bounded L-BFGS-B from every row of ``x0`` (shape (R, d)) in lockstep.
 
-    ``f`` is the scalar objective and ``f_rows`` the same objective as a
-    guarded row evaluator of this one problem: the FD gradient, of each
-    step and of the convergence test, is one ``f_rows`` call over its
-    stencil.  ``search`` holds (x, fun, nit) of each start, in start order.
-    Returns x, then the fields of ``FitResult`` that follow theta_hat:
-    (x, objective, converged, iterations, restarts, at_boundary).
+    Row r takes exactly the steps of scipy 1.17's ``minimize(f_r, x0[r],
+    method="L-BFGS-B", jac=..., bounds=..., options=dict(maxiter=maxiter,
+    ftol=_OBJ_REL_TOL, gtol=_PGTOL))``: it keeps its own state of scipy's
+    reverse-communication routine ``setulb`` and is driven by the loop of
+    ``_minimize_lbfgsb``, its budgets included.  As scipy's ``ScalarFunction``
+    does, the objective is evaluated first at the clipped start and never
+    again at the point it was last evaluated at.  ``fun(r, x)`` is row r's
+    scalar objective; ``grad(rows, points)`` returns the (k, d) gradients of
+    the listed rows, one call per round for every row that asked for one.
+
+    Returns (x, fun, nit), one entry per row; fun is the last value handed
+    to ``setulb``, which is what scipy reports.
     """
-    f = _safe(f)
-    xs, funs, nits = search
-    stage1 = []
-    iterations = 0
-    diagnostics = []
-    for idx, fun in enumerate(funs):
-        iterations += int(nits[idx])
-        if np.isfinite(fun) and fun < _BIG:
-            stage1.append((fun, idx, xs[idx]))
-        else:
-            diagnostics.append(f"start {idx}: non-finite objective")
-    if not stage1:
-        raise EstimationError("all optimizer starts failed", diagnostics=diagnostics)
-    stage1.sort(key=lambda t: (t[0], t[1]))
+    n_rows, dim = x0.shape
+    m = _LBFGSB_M
+    factr = _OBJ_REL_TOL / np.finfo(float).eps
+    nbd = np.full(dim, 2, dtype=np.int32)  # every coordinate bounded on both sides
+    x = np.clip(x0, lower, upper)
+    wa = np.zeros((n_rows, 2 * m * dim + 5 * dim + 11 * m * m + 8 * m))
+    iwa = np.zeros((n_rows, 3 * dim), dtype=np.int32)
+    task = np.zeros((n_rows, 2), dtype=np.int32)
+    ln_task = np.zeros((n_rows, 2), dtype=np.int32)
+    lsave = np.zeros((n_rows, 4), dtype=np.int32)
+    isave = np.zeros((n_rows, 44), dtype=np.int32)
+    dsave = np.zeros((n_rows, 29))
 
-    # polish the best stage-1 candidates with projected quasi-Newton steps;
-    # bounds are inset so the FD gradient never straddles the box edge
+    # the point each row last evaluated at, and its value and gradient
+    seen = x.copy()
+    f_seen = [fun(r, seen[r]) for r in range(n_rows)]
+    g_seen = grad(np.arange(n_rows), seen)
+    nfev = np.ones(n_rows, dtype=int)
+    f = [0.0] * n_rows
+    g = np.zeros((n_rows, dim))
+    nit = np.zeros(n_rows, dtype=int)
+
+    live = range(n_rows)
+    while live:
+        asked, fresh, kept = [], [], []
+        for r in live:
+            _lbfgsb_mod.setulb(m, x[r], lower, upper, nbd, f[r], g[r], factr, _PGTOL,
+                               wa[r], iwa[r], task[r], lsave[r], isave[r], dsave[r],
+                               _LBFGSB_MAXLS, ln_task[r])
+            if task[r, 0] == _FG:
+                asked.append(r)
+                if not np.array_equal(x[r], seen[r]):
+                    seen[r] = x[r]
+                    f_seen[r] = fun(r, seen[r])
+                    nfev[r] += 1
+                    fresh.append(r)
+            elif task[r, 0] == _NEW_X:
+                nit[r] += 1
+                if nit[r] >= maxiter:
+                    task[r] = _STOP, 504
+                elif nfev[r] > _LBFGSB_MAXFUN:
+                    task[r] = _STOP, 502
+            else:
+                continue
+            kept.append(r)
+        if fresh:
+            g_seen[fresh] = grad(np.array(fresh), seen[fresh])
+        for r in asked:
+            f[r] = f_seen[r]
+            g[r] = g_seen[r]
+        live = kept
+    return x, np.array(f), nit
+
+
+class _Polished(NamedTuple):
+    """One problem's polished candidates, best searched start first.
+
+    x, fun: each candidate's polished point and objective; start: the index
+    of the start it was searched from.  iterations: the search iterations of
+    every start plus the polish iterations of every candidate; restarts: the
+    number of starts.
+    """
+
+    x: np.ndarray
+    fun: np.ndarray
+    start: np.ndarray
+    iterations: int
+    restarts: int
+
+
+def _polish_bounds(lower, upper):
+    """The polish's bounds, inset from the box so that the FD gradient of
+    every polished point lies in it."""
     inset = 3e-5 * np.maximum(1.0, np.maximum(np.abs(lower), np.abs(upper)))
-    plo = lower + inset
-    phi = upper - inset
+    return lower + inset, upper - inset
 
-    def jac(v):
-        return _central_difference(_GRADIENT, f_rows, v)
 
-    best = None
-    for fun, idx, x in stage1[: max(1, opts.polish_top)]:
-        xp = np.clip(x, plo, phi)
-        res = optimize.minimize(
-            f,
-            xp,
-            method="L-BFGS-B",
-            jac=jac,
-            bounds=list(zip(plo, phi)),
-            options=dict(maxiter=_POLISH_MAXITER, ftol=_OBJ_REL_TOL, gtol=1e-9),
-        )
-        iterations += res.nit
-        cand = (res.fun, idx, res.x)
-        if best is None or cand[:2] < best[:2]:
-            best = cand
-    fun, idx, x = best
+def _polish(fs, f_rows, searches, lower, upper, opts: FitOptions):
+    """L-BFGS-B polish of the best searched starts of every problem of a block.
 
+    Problem p has the scalar objective ``fs[p]`` and the searched starts
+    ``searches[p]`` = (x, fun, nit), in start order.  ``f_rows`` is the
+    block's guarded row evaluator, row p on problem p's path.  The
+    ``opts.polish_top`` best finite starts of every problem are polished as
+    rows of one ``_lbfgsb`` run, from inside the polish's bounds, each row's
+    FD gradient a stencil of one ``f_rows`` call per round.  Returns, for
+    each problem, its ``_Polished``, or the ``EstimationError`` of a problem
+    whose starts all failed.
+    """
+    fs = [_safe(f) for f in fs]
+    picked = []  # the start indices of each problem's candidates
+    for _, funs, _ in searches:
+        finite = sorted((fun, idx) for idx, fun in enumerate(funs)
+                        if np.isfinite(fun) and fun < _BIG)
+        picked.append(np.array([idx for _, idx in finite[: max(1, opts.polish_top)]], dtype=int))
+    counts = [best.size for best in picked]
+    problem = np.repeat(np.arange(len(searches)), counts)
+    plo, phi = _polish_bounds(lower, upper)
+    x0 = np.concatenate([xs[best] for (xs, _, _), best in zip(searches, picked)])
+    x, fun, nit = _lbfgsb(
+        lambda r, v: fs[problem[r]](v),
+        lambda rows, points: _row_gradients(f_rows, problem[rows], points),
+        x0, plo, phi)
+
+    out = []
+    cuts = np.cumsum(counts)[:-1]
+    for (_, funs, nits), best, xp, fp, polish_nit in zip(
+            searches, picked, np.split(x, cuts), np.split(fun, cuts), np.split(nit, cuts)):
+        if best.size:
+            iterations = int(np.sum(nits)) + int(polish_nit.sum())
+            out.append(_Polished(xp, fp, best, iterations, len(funs)))
+        else:
+            out.append(EstimationError("all optimizer starts failed", diagnostics=[
+                f"start {idx}: non-finite objective" for idx in range(len(funs))]))
+    return out
+
+
+def _judge(ctx: QLContext, theta_of, lower, upper, polished, terms=None) -> FitResult:
+    """The fit of the path of ctx from its entry of ``_polish``.
+
+    Raises the path's ``EstimationError`` if it has one.  Otherwise the fit
+    is the best polished candidate, ties to the earlier start; it is at the
+    boundary on the polish's bounds, and converged if off them and its
+    largest FD gradient entry is at most _GRAD_TOL * (1 + |objective|).
+    """
+    if isinstance(polished, EstimationError):
+        raise polished
+    best = min(range(len(polished.fun)), key=lambda i: (polished.fun[i], polished.start[i]))
+    x, fun = polished.x[best], float(polished.fun[best])
+    plo, phi = _polish_bounds(lower, upper)
     at_boundary = bool(np.any(x <= plo + 1e-12) or np.any(x >= phi - 1e-12))
     converged = False
     if not at_boundary:
         # off the inset bounds, x is over three FD steps inside the box
+        f_rows = _guarded(_ql_rows([ctx], theta_of, terms=terms or _terms))
         g = _central_difference(_GRADIENT, f_rows, x, lower, upper)
         converged = bool(np.max(np.abs(g)) <= _GRAD_TOL * (1.0 + abs(fun)))
-    return x, float(fun), converged, iterations, len(funs), at_boundary
+    return FitResult(theta_of(np.clip(x, lower, upper)), fun, converged,
+                     polished.iterations, polished.restarts, at_boundary)
 
 
 def _heuristic_start(ctx: QLContext):
@@ -356,55 +466,76 @@ def _block_starts(lower, upper, opts: FitOptions, extra=None):
     return _start_points(lower, upper, max(4, opts.n_starts // 2), extra=extra)
 
 
-def _box_fit(ctx: QLContext, theta_of, lower, upper, starts, opts: FitOptions,
-             terms=None, search=None) -> FitResult:
-    """Fit v over [lower, upper] on the path of ctx, with theta = theta_of(v).
+def _search_and_polish(ctxs, theta_of, lower, upper, starts, opts: FitOptions, terms=None):
+    """The search from ``starts[p]`` on the path of ``ctxs[p]``, then the
+    polish, of every path of a block at once.
 
-    The objective sums ``terms`` at theta (see ``_ql_rows``), ql_total by
-    default.  The search runs from ``starts`` unless its result is handed in.
+    The objective sums ``terms`` at theta = theta_of(v) (see ``_ql_rows``),
+    ql_total by default.  The contexts share one model and one observation
+    step.  Returns what ``_polish`` returns, one entry per path.
     """
+    # one row evaluator, row p on the path of ctxs[p]; a search row is
+    # mapped to the path of its start
+    f_rows = _guarded(_ql_rows(ctxs, theta_of, np.arange(len(ctxs)), terms=terms or _terms))
+    counts = [len(s) for s in starts]
+    start_path = np.repeat(np.arange(len(ctxs)), counts)
+    x, fun, nit = _search(lambda rows, points: f_rows(start_path[rows], points),
+                          np.concatenate(starts), lower, upper)
+    cuts = np.cumsum(counts)[:-1]
+    searches = zip(np.split(x, cuts), np.split(fun, cuts), np.split(nit, cuts))
+    # each path's scalar objective; ql_total is looked up at each call, as
+    # the benchmark's traced run wraps it to count evaluations
+    if terms is None:
+        fs = [lambda v, ctx=ctx: ql_total(ctx, theta_of(v)) for ctx in ctxs]
+    else:
+        fs = [lambda v, p=p: f_rows([p], v[None])[0] for p in range(len(ctxs))]
+    return _polish(fs, f_rows, list(searches), lower, upper, opts)
+
+
+def _check_length(ctx: QLContext):
     model = ctx.model
     if ctx.path.n + 1 < model.m1 + model.m2 + 2:
         raise EstimationError("path too short for the number of parameters")
-    f_rows = _guarded(_ql_rows([ctx], theta_of, terms=terms or _terms))
-    # the polish's scalar objective; ql_total is looked up at each call, as
-    # the benchmark's traced run wraps it to count evaluations
-    f = ((lambda v: ql_total(ctx, theta_of(v))) if terms is None
-         else (lambda v: f_rows(None, v[None])[0]))
-    if search is None:
-        search = _search(f_rows, np.array(starts), lower, upper)
-    x, *outcome = _polish(f, f_rows, search, lower, upper, opts)
-    return FitResult(theta_of(np.clip(x, lower, upper)), *outcome)
+
+
+def _box_fit(ctx: QLContext, theta_of, lower, upper, starts, opts: FitOptions,
+             terms=None) -> FitResult:
+    """Fit v over [lower, upper] on the path of ctx, with theta = theta_of(v):
+    the search from ``starts``, the polish and the judge, a block of one path.
+
+    The objective sums ``terms`` at theta (see ``_ql_rows``), ql_total by
+    default.
+    """
+    _check_length(ctx)
+    (polished,) = _search_and_polish([ctx], theta_of, lower, upper, [starts], opts, terms)
+    return _judge(ctx, theta_of, lower, upper, polished, terms)
 
 
 def mqle_search(ctxs, opts: FitOptions = FitOptions()):
-    """The Nelder-Mead stage of ``mqle`` on several paths as one lockstep search.
+    """The search and the polish of ``mqle`` on several paths at once.
 
     The contexts share one model and one observation step.  Returns, for
-    each context, the search result that ``mqle(ctx, opts, search=...)``
-    polishes: the same fit as ``mqle(ctx, opts)``.
+    each context, what ``mqle(ctx, opts, polished=...)`` judges: the
+    polished candidates, or that path's ``EstimationError``.
     """
-    model = ctxs[0].model
-    box, m1 = model.box, model.m1
-    starts = [_joint_starts(ctx, opts) for ctx in ctxs]
-    counts = [len(s) for s in starts]
-    row_ctx = np.repeat(np.arange(len(ctxs)), counts)
-    f_rows = _guarded(_ql_rows(ctxs, _split(m1), row_ctx))
-    x, fun, nit = _search(f_rows, np.concatenate(starts), box.lower, box.upper)
-    cuts = np.cumsum(counts)[:-1]
-    return list(zip(np.split(x, cuts), np.split(fun, cuts), np.split(nit, cuts)))
+    box = ctxs[0].model.box
+    return _search_and_polish(ctxs, _split(ctxs[0].model.m1), box.lower, box.upper,
+                              [_joint_starts(ctx, opts) for ctx in ctxs], opts)
 
 
-def mqle(ctx: QLContext, opts: FitOptions = FitOptions(), *, search=None) -> FitResult:
+def mqle(ctx: QLContext, opts: FitOptions = FitOptions(), *, polished=None) -> FitResult:
     """Minimize ql_total over the box; deterministic multi-start search.
 
-    ``search`` is this path's result from ``mqle_search``, when the
-    Nelder-Mead stage already ran with other paths; by default it runs here.
+    ``polished`` is this path's entry of ``mqle_search``, when the search
+    and the polish already ran with other paths; by default they run here.
+    Either way the fit is the same.
     """
     box = ctx.model.box
-    starts = _joint_starts(ctx, opts) if search is None else None
-    return _box_fit(ctx, _split(ctx.model.m1), box.lower, box.upper, starts, opts,
-                    search=search)
+    theta_of = _split(ctx.model.m1)
+    if polished is None:
+        return _box_fit(ctx, theta_of, box.lower, box.upper, _joint_starts(ctx, opts), opts)
+    _check_length(ctx)
+    return _judge(ctx, theta_of, box.lower, box.upper, polished)
 
 
 def initial_beta(ctx: QLContext, opts: FitOptions = FitOptions()) -> FitResult:

@@ -75,6 +75,8 @@ def _chi2_threshold(kind, level, df) -> float:
 
 
 def _finish(kind, stat, df, level, threshold, theta_hat, theta_null, saturated=0):
+    if threshold is not None and not math.isfinite(threshold):
+        raise ConfigError(f"threshold must be finite, got {threshold!r}")
     if not math.isfinite(stat):
         raise StatisticError(f"{kind} statistic is non-finite")
     if threshold is None:

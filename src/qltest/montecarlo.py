@@ -9,9 +9,10 @@ statistic kind and of h — so results are identical for any worker count
 and the h columns are common-random-number coupled.  A table runs as one
 block over its (h cell, replication) pairs: the paths of the block are
 simulated as one batch, each at its cell's alternative, and the
-Nelder-Mead starts of all their fits run as one lockstep search, which
-gives the same paths and fits as one simulation and one fit per
-replication.  With workers, each takes one contiguous run of pairs.
+Nelder-Mead search and L-BFGS-B polish of all their fits run in lockstep
+(``mqle_search``), which gives the same paths and fits as one simulation
+and one fit per replication.  With workers, each takes one contiguous run
+of pairs.
 
 An h cell is one (R, len(statistics)) float matrix, rows in replication
 order.  NaN marks a failed replication of a kind: no path (every simulation
@@ -230,8 +231,8 @@ def _table_block(args):
     """The rows of the (h_index, rep) pairs ``pairs`` of the table, in order.
 
     Their paths are simulated as one batch, each at its cell's alternative,
-    the Nelder-Mead starts of all their fits run as one lockstep search, and
-    then each path's fit is polished and every kind evaluated on it.  Seeds
+    the search and polish of all their fits run in lockstep, and then each
+    path's fit is judged and every kind evaluated on it.  Seeds
     depend only on (master_seed, rep): the h cells are coupled by common
     random numbers, as are all statistic kinds.  A path that failed every
     simulation attempt leaves its row NaN.
@@ -249,17 +250,17 @@ def _table_block(args):
     rows = np.full((len(pairs), len(config.statistics)), np.nan)
     simulated = [i for i, path in enumerate(paths) if isinstance(path, SamplePath)]
     ctxs = [QLContext(model, paths[i]) for i in simulated]
-    searches = mqle_search(ctxs, _MC_FIT_OPTS) if ctxs else []
-    for i, ctx, search in zip(simulated, ctxs, searches):
-        rows[i] = _fit_and_evaluate(config, ctx, search)
+    polished = mqle_search(ctxs, _MC_FIT_OPTS) if ctxs else []
+    for i, ctx, entry in zip(simulated, ctxs, polished):
+        rows[i] = _fit_and_evaluate(config, ctx, entry)
     return rows
 
 
-def _fit_and_evaluate(config: ExperimentConfig, ctx, search):
+def _fit_and_evaluate(config: ExperimentConfig, ctx, polished):
     """The row of one replication; NaN throughout when no fit succeeds."""
     try:
         try:
-            fit = mqle(ctx, _MC_FIT_OPTS, search=search)
+            fit = mqle(ctx, _MC_FIT_OPTS, polished=polished)
         except EstimationError:
             fit = mqle(ctx)  # full multi-start fallback
     except (EstimationError, ConfigError):

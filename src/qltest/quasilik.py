@@ -148,14 +148,24 @@ def _check_interior(x, h, lower, upper):
 
 
 def _gradient_points(x, h):
-    """x + h_j e_j and x - h_j e_j, for each coordinate j in turn."""
-    step = np.diag(h)
-    return np.stack([x + step, x - step], axis=1).reshape(-1, x.size)
+    """x + h_j e_j and x - h_j e_j, for each coordinate j in turn.
+
+    Along the last axis: a (k, d) stack of points gives their (k, 2d, d)
+    stencils.
+    """
+    d = x.shape[-1]
+    step = h[..., None, :] * np.eye(d)  # the values of np.diag(h)
+    x = x[..., None, :]
+    return np.stack([x + step, x - step], axis=-2).reshape(x.shape[:-2] + (2 * d, d))
 
 
 def _gradient_combine(values, h):
-    """(f(x + h_j e_j) - f(x - h_j e_j)) / (2 h_j) for every j."""
-    step = (2.0 * h).reshape(h.shape + (1,) * (values.ndim - 1))
+    """(f(x + h_j e_j) - f(x - h_j e_j)) / (2 h_j) for every j.
+
+    h may carry trailing axes (steps of several points, one per column of
+    ``values``).
+    """
+    step = (2.0 * h).reshape(h.shape + (1,) * (values.ndim - h.ndim))
     return (values[0::2] - values[1::2]) / step
 
 
@@ -200,6 +210,21 @@ def _central_difference(rule, f_rows, x, lower=None, upper=None):
     h = _steps(x)
     _check_interior(x, h, lower, upper)
     return combine(np.asarray(f_rows(None, points(x, h)), dtype=float), h)
+
+
+def _row_gradients(f_rows, rows, x):
+    """The central-difference gradient at each point of x (shape (k, d)).
+
+    The k stencils are one ``f_rows`` call, the stencil of point i on row
+    ``rows[i]``; each gradient equals ``_central_difference(_GRADIENT, ...)``
+    at its point, bit for bit.
+    """
+    points, combine = _GRADIENT
+    h = _steps(x)
+    stencils = points(x, h)
+    k, width, d = stencils.shape
+    values = np.asarray(f_rows(np.repeat(rows, width), stencils.reshape(-1, d)), dtype=float)
+    return combine(values.reshape(k, width).T, h.T).T
 
 
 def _scalar_loop(f):

@@ -53,8 +53,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ConfigError("n must be at least 2")
-        if self.delta <= 0:
-            raise ConfigError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ConfigError("delta must be positive and finite")
         if self.refine < 1:
             raise ConfigError("refine must be at least 1")
 

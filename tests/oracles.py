@@ -3,8 +3,12 @@
 import math
 
 import numpy as np
+from scipy import optimize
 
 from qltest import ParamVector, ql_total
+from qltest.errors import EstimationError
+from qltest.estimate import _BIG, _GRAD_TOL, _OBJ_REL_TOL, _PGTOL, _POLISH_MAXITER, _safe
+from qltest.quasilik import _GRADIENT, _central_difference
 
 
 def objective(ctx):
@@ -19,6 +23,65 @@ def objective(ctx):
         return ql_total(ctx, ParamVector(v[:m1], v[m1:]))
 
     return f
+
+
+def scipy_lbfgsb(f, jac, x0, lower, upper, maxiter=_POLISH_MAXITER):
+    """scipy's L-BFGS-B from x0 with the options of the fits' polish."""
+    return optimize.minimize(
+        f, x0, method="L-BFGS-B", jac=jac, bounds=list(zip(lower, upper)),
+        options=dict(maxiter=maxiter, ftol=_OBJ_REL_TOL, gtol=_PGTOL),
+    )
+
+
+def reference_polish(f, f_rows, search, lower, upper, opts):
+    """The polish and judge of one problem, one scipy L-BFGS-B run per candidate.
+
+    ``f`` is the scalar objective and ``f_rows`` a row evaluator of the same
+    objective on this one problem, from which each FD gradient is taken.
+    ``search`` holds (x, fun, nit) of each start, in start order.  The
+    ``opts.polish_top`` best finite starts are polished in turn, from inside
+    bounds inset by 3e-5 * max(1, |bound|); the best polished point, ties
+    to the earlier start, is the fit.  Returns (x, objective, converged,
+    iterations, restarts, at_boundary), the fields of ``FitResult`` that
+    follow theta_hat with x in their place.
+    """
+    f = _safe(f)
+    xs, funs, nits = search
+    stage1 = []
+    iterations = 0
+    diagnostics = []
+    for idx, fun in enumerate(funs):
+        iterations += int(nits[idx])
+        if np.isfinite(fun) and fun < _BIG:
+            stage1.append((fun, idx, xs[idx]))
+        else:
+            diagnostics.append(f"start {idx}: non-finite objective")
+    if not stage1:
+        raise EstimationError("all optimizer starts failed", diagnostics=diagnostics)
+    stage1.sort(key=lambda t: (t[0], t[1]))
+
+    inset = 3e-5 * np.maximum(1.0, np.maximum(np.abs(lower), np.abs(upper)))
+    plo = lower + inset
+    phi = upper - inset
+
+    def jac(v):
+        return _central_difference(_GRADIENT, f_rows, v)
+
+    best = None
+    for fun, idx, x in stage1[: max(1, opts.polish_top)]:
+        res = scipy_lbfgsb(f, jac, np.clip(x, plo, phi), plo, phi)
+        iterations += res.nit
+        cand = (res.fun, idx, res.x)
+        if best is None or cand[:2] < best[:2]:
+            best = cand
+    fun, idx, x = best
+
+    at_boundary = bool(np.any(x <= plo + 1e-12) or np.any(x >= phi - 1e-12))
+    converged = False
+    if not at_boundary:
+        g = _central_difference(_GRADIENT, f_rows, x, lower, upper)
+        converged = bool(np.max(np.abs(g)) <= _GRAD_TOL * (1.0 + abs(fun)))
+    return x, float(fun), converged, iterations, len(funs), at_boundary
 
 
 def ou_conditional_mle(path):

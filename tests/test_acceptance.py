@@ -122,9 +122,9 @@ def ou1000_null_reps(ou1000_null_paths):
     model = make_ou()
     ctxs = [QLContext(model, path) for path in ou1000_null_paths]
     t_values, theta_hats = [], []
-    for ctx, search in zip(ctxs, mqle_search(ctxs, _MC_FIT_OPTS)):
+    for ctx, polished in zip(ctxs, mqle_search(ctxs, _MC_FIT_OPTS)):
         try:
-            fit = mqle(ctx, _MC_FIT_OPTS, search=search)
+            fit = mqle(ctx, _MC_FIT_OPTS, polished=polished)
         except EstimationError:
             fit = mqle(ctx)
         t, theta_hat = _null_rep_values(ctx, fit)

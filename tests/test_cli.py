@@ -95,6 +95,27 @@ def test_state_outside_the_domain_exits_2(path_csv, tmp_path, capsys):
         assert "--input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_non_finite_step_exits_2(tmp_path, capsys, delta):
+    code = main([
+        "simulate", "--model", "ou", "--theta", "0.5,0.5,0.25",
+        "--n", "50", "--seed", "1", "--delta", delta, "--out", str(tmp_path / "x.csv"),
+    ])
+    assert code == EXIT_USAGE
+    assert "delta must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+def test_non_finite_threshold_exits_2(path_csv, capsys, threshold):
+    for stat in ("t", "bs", "step"):
+        code = main([
+            "test", "--input", str(path_csv), "--model", "ou",
+            "--null", "0.5,0.5,0.25", "--stat", stat, "--threshold", threshold,
+        ])
+        assert code == EXIT_USAGE
+        assert "threshold must be finite" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_2(tmp_path):
     assert main(["simulate", "--bogus"]) == EXIT_USAGE
 

@@ -96,6 +96,25 @@ def test_threshold_override(ou_ctx_1000, theta0_ou, theta_hat):
     assert not report.reject
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_non_finite_threshold_is_a_config_error(ou_ctx_1000, theta0_ou, theta_hat, threshold):
+    # a NaN threshold would never reject; every public test refuses it
+    calls = [
+        lambda: t_statistic(ou_ctx_1000, theta_hat, theta0_ou, threshold=threshold),
+        lambda: gqlrt_statistic(ou_ctx_1000, theta_hat, theta0_ou, threshold=threshold),
+        lambda: wald_statistic(ou_ctx_1000, theta_hat, theta0_ou, threshold=threshold),
+        lambda: rao_statistic(ou_ctx_1000, theta_hat, theta0_ou, threshold=threshold),
+        lambda: phi_divergence_statistic(ou_ctx_1000, theta_hat, theta0_ou, "BS",
+                                         threshold=threshold),
+        lambda: stepwise_beta(ou_ctx_1000, theta0_ou.beta, theta0_ou.beta, threshold=threshold),
+        lambda: stepwise_alpha(ou_ctx_1000, theta0_ou.alpha, theta0_ou.alpha, theta0_ou.beta,
+                               threshold=threshold),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError, match="threshold must be finite"):
+            call()
+
+
 def test_bs_requires_threshold(ou_ctx_1000, theta0_ou, theta_hat):
     with pytest.raises(ConfigError):
         phi_divergence_statistic(ou_ctx_1000, theta_hat, theta0_ou, "BS")

@@ -1,11 +1,14 @@
-"""The lockstep Nelder-Mead search against scipy's per-start search.
+"""The lockstep Nelder-Mead search and L-BFGS-B polish against scipy.
 
 ``estimate._nelder_mead`` runs many bounded Nelder-Mead searches as rows of
-one array program.  Each row must take exactly the steps of
-``scipy.optimize.minimize(method="Nelder-Mead", bounds=...)`` from the same
-start on the same objective, so every row's x, fun and nit must be equal,
-not merely close.  The fits built on it must equal a reference fit, kept
-here, that runs scipy's Nelder-Mead once per start and then the same polish.
+one array program, and ``estimate._lbfgsb`` many bounded L-BFGS-B runs.
+Each row must take exactly the steps of ``scipy.optimize.minimize`` with
+``method="Nelder-Mead"`` or ``method="L-BFGS-B"`` from the same start on
+the same objective, so every row's x, fun and nit must be equal, not merely
+close, and the polish must evaluate the objective at the same points.  The
+fits built on them must equal a reference fit, kept here and in
+``oracles.reference_polish``, that runs scipy's Nelder-Mead once per start
+and scipy's L-BFGS-B once per polished candidate.
 """
 
 import numpy as np
@@ -27,22 +30,24 @@ from qltest import (
     observation_schedule,
     ql_total,
 )
-from qltest import estimate
+from qltest import SamplePath, estimate
+from qltest.errors import EstimationError
 from qltest.estimate import (
     _BIG,
     _NM_FATOL,
     _NM_XATOL,
     _guarded,
     _heuristic_start,
+    _lbfgsb,
     _nelder_mead,
-    _polish,
+    _polish_bounds,
     _safe,
     _start_points,
     mqle_search,
 )
-from qltest.quasilik import _CHUNK_VALUES, _ql_rows, _split
+from qltest.quasilik import _CHUNK_VALUES, _ql_rows, _row_gradients, _split, fd_gradient
 
-from oracles import objective
+from oracles import objective, reference_polish, scipy_lbfgsb
 
 THETA0 = {
     "ou": ParamVector([0.5, 0.5], [0.25]),
@@ -209,6 +214,20 @@ def test_row_objective_reads_non_finite_as_big():
     assert np.array_equal(out, [1.0, _BIG, _BIG, _BIG])
 
 
+def test_fits_never_call_scipy_minimize(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a fit called scipy.optimize.minimize")
+
+    monkeypatch.setattr(optimize, "minimize", forbidden)
+    monkeypatch.setattr(optimize._lbfgsb_py, "_minimize_lbfgsb", forbidden)
+    ctxs = _ctxs("ou", 100, 3)
+    mqle(ctxs[0])
+    initial_beta(ctxs[0])
+    adaptive_estimate(ctxs[0])
+    for ctx, polished in zip(ctxs, mqle_search(ctxs, _CHEAP)):
+        mqle(ctx, _CHEAP, polished=polished)
+
+
 def test_fits_never_call_scipy_nelder_mead(monkeypatch):
     minimize = optimize.minimize
 
@@ -225,9 +244,20 @@ def test_fits_never_call_scipy_nelder_mead(monkeypatch):
 
 # --- the fits against a reference that runs scipy's Nelder-Mead per start ---
 
-def _reference_box(f, starts, lower, upper, opts):
-    """Nelder-Mead by scipy from each start, then the fit's polish, its FD
-    gradient evaluated one stencil point at a time."""
+def _points(f, seen):
+    """f, appending each point it is called at to ``seen``."""
+    def g(v):
+        seen.append(np.array(v, dtype=float))
+        return f(v)
+
+    return g
+
+
+def _reference_box(f, starts, lower, upper, opts, polish_points=None):
+    """Nelder-Mead by scipy from each start, then L-BFGS-B by scipy from each
+    polished candidate, its FD gradient evaluated one stencil point at a
+    time.  The points of the polish's scalar objective calls are appended
+    to ``polish_points``, when given."""
     maxfev = 200 * lower.size
     f_safe = _safe(f)
 
@@ -239,15 +269,17 @@ def _reference_box(f, starts, lower, upper, opts):
     assert (_NM_XATOL, _NM_FATOL) == (XATOL, FATOL)
     search = (np.array([r.x for r in results]), np.array([r.fun for r in results]),
               np.array([r.nit for r in results]))
-    return _polish(f, scalar_rows, search, lower, upper, opts)
+    if polish_points is not None:
+        f = _points(f, polish_points)
+    return reference_polish(f, scalar_rows, search, lower, upper, opts)
 
 
-def _reference_mqle(ctx, opts=FitOptions()):
+def _reference_mqle(ctx, opts=FitOptions(), polish_points=None):
     model = ctx.model
     box = model.box
     starts = _start_points(box.lower, box.upper, opts.n_starts, extra=_heuristic_start(ctx))
     x, fun, conv, iters, restarts, at_b = _reference_box(
-        objective(ctx), starts, box.lower, box.upper, opts)
+        objective(ctx), starts, box.lower, box.upper, opts, polish_points)
     return FitResult(ParamVector.from_full(box.clip(x), model.m1, model.m2), fun, conv,
                      iters, restarts, at_b)
 
@@ -316,12 +348,14 @@ def test_fits_equal_scipy_reference(model_id, n):
 
 
 def test_references_run_without_the_box_fit(monkeypatch):
-    # the references share no code with the fits' one box-fit routine, so
-    # the comparison above does not check that routine against itself
+    # the references share no code with the fits' one box-fit routine or
+    # its lockstep polish, so the comparison above does not check that
+    # routine against itself
     def forbidden(*args, **kwargs):
         raise AssertionError("a reference called estimate._box_fit")
 
-    monkeypatch.setattr(estimate, "_box_fit", forbidden)
+    for name in ("_box_fit", "_polish", "_lbfgsb", "_judge"):
+        monkeypatch.setattr(estimate, name, forbidden)
     (ctx,) = _ctxs("ou", 100, 1)
     _reference_mqle(ctx, _CHEAP)
     _reference_adaptive(ctx, _CHEAP)
@@ -331,10 +365,13 @@ def test_references_run_without_the_box_fit(monkeypatch):
 
 @pytest.mark.parametrize("model_id", ["ou", "cir"])
 def test_block_search_equals_single_fits(model_id):
-    # the harness searches a block of paths at once, then polishes each path
+    # the harness searches and polishes a block of paths at once, then
+    # judges each path
     ctxs = _ctxs(model_id, 100, 7, seed=90)
-    for ctx, search in zip(ctxs, mqle_search(ctxs, _CHEAP)):
-        _assert_fits_equal(mqle(ctx, _CHEAP, search=search), mqle(ctx, _CHEAP))
+    for ctx, polished in zip(ctxs, mqle_search(ctxs, _CHEAP)):
+        _assert_fits_equal(mqle(ctx, _CHEAP, polished=polished), mqle(ctx, _CHEAP))
+    for ctx, polished in zip(ctxs, mqle_search(ctxs)):
+        _assert_fits_equal(mqle(ctx, polished=polished), _reference_mqle(ctx))
 
 
 
@@ -354,9 +391,119 @@ def test_table_search_equals_per_cell_searches(model_id, n, h_grid, reps):
                                range(100, 100 + reps))
         cells.append([QLContext(model, path) for path in paths])
     table = mqle_search([ctx for cell in cells for ctx in cell], _CHEAP)
-    per_cell = [search for cell in cells for search in mqle_search(cell, _CHEAP)]
+    per_cell = [polished for cell in cells for polished in mqle_search(cell, _CHEAP)]
     assert len(table) == len(per_cell) == len(h_grid) * reps
-    for (x, fun, nit), (x_ref, fun_ref, nit_ref) in zip(table, per_cell):
-        assert np.array_equal(x, x_ref)
-        assert np.array_equal(fun, fun_ref)
-        assert np.array_equal(nit, nit_ref)
+    for polished, ref in zip(table, per_cell):
+        assert np.array_equal(polished.x, ref.x)
+        assert np.array_equal(polished.fun, ref.fun)
+        assert np.array_equal(polished.start, ref.start)
+        assert (polished.iterations, polished.restarts) == (ref.iterations, ref.restarts)
+
+
+# --- the lockstep L-BFGS-B polish against scipy's, one run per row ---
+
+def _polish_rows(model_id, n, paths, seed):
+    """Polish rows as the fits start them: each path's searched starts and
+    its raw starts, clipped into the inset bounds, and three rows that
+    start on the inset bounds.
+
+    Returns the rows' path indices, starts, contexts and bounds.
+    """
+    ctxs = _ctxs(model_id, n, paths, seed=seed)
+    f_rows, starts, _, box = _full_problem(ctxs, 2)
+    searched, _, _ = _nelder_mead(f_rows, starts, box.lower, box.upper, XATOL, FATOL,
+                                  200 * box.dim)
+    plo, phi = _polish_bounds(box.lower, box.upper)
+    on_bounds = np.array([plo, phi, np.where([True, False, True], phi, searched[0])])
+    path_of = np.repeat(np.arange(paths), 2)
+    row_path = np.concatenate([path_of, path_of, [0, 1, 0]])
+    x0 = np.clip(np.vstack([searched, starts, on_bounds]), plo, phi)
+    return row_path, x0, ctxs, plo, phi
+
+
+def _lockstep_and_scipy(model_id, n, paths, seed, maxiter):
+    row_path, x0, ctxs, plo, phi = _polish_rows(model_id, n, paths, seed)
+    f_rows = _guarded(_ql_rows(ctxs, _split(ctxs[0].model.m1), row_path))
+    objectives = [_safe(objective(ctxs[p])) for p in row_path]
+    calls = [[] for _ in row_path]
+
+    def fun(r, v):
+        calls[r].append(np.array(v))
+        return objectives[r](v)
+
+    lockstep = _lbfgsb(fun, lambda rows, points: _row_gradients(f_rows, rows, points),
+                       x0, plo, phi, maxiter)
+    ref_calls = [[] for _ in row_path]
+    results = [
+        scipy_lbfgsb(_points(f, seen), lambda v, f=f: fd_gradient(f, v), start, plo, phi,
+                     maxiter)
+        for f, seen, start in zip(objectives, ref_calls, x0)
+    ]
+    return lockstep, results, calls, ref_calls
+
+
+def _assert_calls_equal(calls, ref_calls):
+    for r, (got, ref) in enumerate(zip(calls, ref_calls)):
+        assert len(got) == len(ref), r
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref)), r
+
+
+@pytest.mark.parametrize("model_id", ["ou", "cir"])
+@pytest.mark.parametrize("n, paths", [(100, 6), (1000, 3)])
+def test_lbfgsb_rows_equal_scipy(model_id, n, paths):
+    lockstep, results, calls, ref_calls = _lockstep_and_scipy(
+        model_id, n, paths, seed=200 + n, maxiter=estimate._POLISH_MAXITER)
+    _assert_rows_equal(lockstep, results)
+    _assert_calls_equal(calls, ref_calls)
+    # the raw starts take many iterations, the searched ones few
+    assert lockstep[2].max() > 5 * max(1, lockstep[2][: 2 * paths].min())
+
+
+@pytest.mark.parametrize("maxiter", [1, 2, 3])
+def test_lbfgsb_iteration_cap_stops_rows_mid_block(maxiter):
+    lockstep, results, calls, ref_calls = _lockstep_and_scipy("ou", 100, 6, 7, maxiter)
+    _assert_rows_equal(lockstep, results)
+    _assert_calls_equal(calls, ref_calls)
+    nit = lockstep[2]
+    capped = nit == maxiter
+    # rows reach the cap after different numbers of evaluations, so some
+    # stop while others still run
+    assert capped.any()
+    assert len({len(calls[r]) for r in np.flatnonzero(capped)}) > 1
+    assert all(res.message.endswith("ITERATIONS REACHED LIMIT") for res in
+               np.array(results, dtype=object)[capped])
+
+
+@pytest.mark.parametrize("model_id, n", [("ou", 100), ("cir", 1000)])
+def test_block_polish_calls_ql_total_where_scipy_does(model_id, n, monkeypatch):
+    ctxs = _ctxs(model_id, n, 4, seed=300)
+    seen = {id(ctx): [] for ctx in ctxs}
+
+    def recording(ctx, theta):
+        seen[id(ctx)].append(np.array(theta.full))
+        return ql_total(ctx, theta)
+
+    monkeypatch.setattr(estimate, "ql_total", recording)
+    polished = mqle_search(ctxs, _CHEAP)
+    monkeypatch.undo()
+    for ctx, entry in zip(ctxs, polished):
+        ref_points = []
+        ref = _reference_mqle(ctx, _CHEAP, polish_points=ref_points)
+        _assert_fits_equal(mqle(ctx, _CHEAP, polished=entry), ref)
+        _assert_calls_equal([seen[id(ctx)]], [ref_points])
+
+
+def test_a_path_whose_starts_all_fail_gets_its_own_error():
+    ctxs = _ctxs("ou", 100, 5, seed=70)
+    # transitions of +-2e200: every term overflows at every parameter
+    wild = np.where(np.arange(101) % 2 == 0, -1e200, 1e200)
+    ctxs[2] = QLContext(ctxs[2].model, SamplePath(ctxs[2].path.delta, wild))
+    polished = mqle_search(ctxs, _CHEAP)
+    assert isinstance(polished[2], EstimationError)
+    for fit in (lambda: mqle(ctxs[2], _CHEAP, polished=polished[2]),
+                lambda: mqle(ctxs[2], _CHEAP)):
+        with pytest.raises(EstimationError, match="all optimizer starts failed"):
+            fit()
+    for k in (0, 1, 3, 4):
+        _assert_fits_equal(mqle(ctxs[k], _CHEAP, polished=polished[k]),
+                           _reference_mqle(ctxs[k], _CHEAP))

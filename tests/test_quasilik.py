@@ -9,7 +9,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize
 
 from qltest import (
     BoundaryError,
@@ -34,7 +33,7 @@ from qltest import (
     SimConfig,
     euler_maruyama,
 )
-from qltest import quasilik
+from qltest import estimate, quasilik
 from qltest.estimate import _BIG, _safe
 from qltest.montecarlo import _statistic_values
 from qltest.quasilik import fd_gradient, fd_hessian
@@ -348,27 +347,31 @@ _NEAR_NAN = np.array([4.0 - 0.5 * quasilik.FD_REL_STEP * 4.0, 0.5, 0.25])
 
 
 def test_polish_jac_equals_scalar_loop_on_safe_objective(stencil_cases, nan_ctx, monkeypatch):
-    minimize = optimize.minimize
-    jacs = []
+    # the polish's gradients, of one point or of many as one row call
+    lbfgsb = estimate._lbfgsb
+    grads = []
 
-    def spy(fun, x0, jac=None, **kwargs):
-        jacs.append(jac)
-        return minimize(fun, x0, jac=jac, **kwargs)
+    def spy(fun, grad, *args):
+        grads.append(grad)
+        return lbfgsb(fun, grad, *args)
 
-    monkeypatch.setattr(optimize, "minimize", spy)
+    monkeypatch.setattr(estimate, "_lbfgsb", spy)
     checked = 0
     for ctx, theta in stencil_cases[::2] + [(nan_ctx, _THETA0["ou"])]:
-        del jacs[:]
+        del grads[:]
         mqle(ctx, FitOptions(n_starts=2, polish_top=1))
         f = _safe(objective(ctx))
         points = [theta.full, _THETA0[ctx.model.name].full]
         if ctx is nan_ctx:
             points.append(_NEAR_NAN)
             assert f(_NEAR_NAN + np.diag(quasilik._steps(_NEAR_NAN))[0]) == _BIG
-        for jac in jacs:
-            for v in points:
-                assert np.array_equal(jac(v), fd_gradient(f, v))
+        expected = [fd_gradient(f, v) for v in points]
+        for grad in grads:
+            for v, g in zip(points, expected):
+                assert np.array_equal(grad(np.zeros(1, dtype=int), v[None])[0], g)
                 checked += 1
+            assert np.array_equal(grad(np.zeros(len(points), dtype=int), np.array(points)),
+                                  expected)
     assert checked > 0
 
 

@@ -36,6 +36,13 @@ def test_sim_config_validation():
         SimConfig(n=10, delta=0.01, x0=1.0, seed=1, refine=0)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_sim_config_rejects_a_non_finite_step(delta):
+    # a NaN step fails no "<= 0" comparison, so it is checked as 0 < delta < inf
+    with pytest.raises(ConfigError, match="positive and finite"):
+        SimConfig(n=10, delta=delta, x0=1.0, seed=1)
+
+
 def test_observation_schedule():
     T, delta = observation_schedule(1000)
     assert T == pytest.approx(10.0)
