@@ -19,6 +19,7 @@ refuses a path of fewer than m1 + m2 + 2 observations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -130,10 +131,18 @@ def _start_points(lower, upper, n_starts, extra=None):
         starts.append(np.clip(np.asarray(extra, dtype=float), inset_lo, inset_hi))
     need = max(0, n_starts - len(starts))
     if need:
-        sob = qmc.Sobol(d=lower.size, scramble=True, seed=_SOBOL_SEED)
-        pts = sob.random_base2(max(1, math.ceil(math.log2(need))))[:need]
+        pts = _sobol_points(lower.size, max(1, math.ceil(math.log2(need))))[:need]
         starts.extend(inset_lo + pts * (inset_hi - inset_lo))
     return starts[:n_starts]
+
+
+@functools.cache
+def _sobol_points(d, m):
+    """The first 2**m points of the fixed scrambled Sobol sequence in d
+    dimensions, drawn once per (d, m) and kept read-only."""
+    pts = qmc.Sobol(d=d, scramble=True, seed=_SOBOL_SEED).random_base2(m)
+    pts.flags.writeable = False
+    return pts
 
 
 def _guarded(f_rows):

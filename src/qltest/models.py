@@ -165,6 +165,11 @@ class Model:
     power of a parameter is written as a product (``b * b``): numpy
     evaluates ``**`` on a scalar with C ``pow`` but on an array as a
     product, one rounding apart at times.
+
+    An x-derivative that is identically zero should return the float
+    ``0.0`` (``_zero``): the quasi-likelihood then leaves its product out of
+    gamma2, which for OU is one value per parameter point, not one per
+    observation.  An array of zeros gives the same terms at full cost.
     """
 
     m1: int
@@ -211,19 +216,47 @@ def gamma2(model: Model, theta: ParamVector, x) -> float:
     """Second-order coefficient of the conditional-variance expansion.
 
     gamma2 = (1/2) [b dc/dx + 2 c db/dx] + (c/4) d2c/dx2.
+
+    Every product of the formula is formed over the whole of x, a float-0
+    derivative taken as an array of zeros, so the value is shaped like x
+    and is the formula's bit for bit: a drift that overflows where dc/dx
+    is 0 makes it NaN.
     """
     model.check_domain(x)
     b = model.drift(theta, x)
     c = model.diffsq(theta, x)
-    dc = model.diffsq_dx(theta, x)
-    d2c = model.diffsq_dxx(theta, x)
+    dc = _over_x(x, model.diffsq_dx(theta, x))
+    d2c = _over_x(x, model.diffsq_dxx(theta, x))
     db = model.drift_dx(theta, x)
     return _gamma2(b, c, dc, d2c, db)
 
 
+def _is_zero(d) -> bool:
+    """Whether an x-derivative is the float 0, as ``_zero`` returns it."""
+    return isinstance(d, float) and d == 0.0
+
+
+def _over_x(x, d):
+    """An x-derivative, a float 0 made an array of zeros shaped like x."""
+    return np.full(np.shape(x), d) if _is_zero(d) else d
+
+
 def _gamma2(b, c, dc, d2c, db):
-    """gamma2 from b, c and their x-derivatives; shared with the quasi-likelihood."""
-    return 0.5 * (b * dc + 2.0 * c * db) + 0.25 * c * d2c
+    """gamma2 from b, c and their x-derivatives; shared with the quasi-likelihood.
+
+    A product with an x-derivative that is the float 0 is left out, so
+    gamma2 varies only where its pieces do: for OU it is one value per
+    parameter point, not one per observation.  Where c is finite and
+    positive and the drift finite, that product is +-0, and the value
+    differs from the full sum at most in the sign of a zero.
+    """
+    g = 2.0 * c * db
+    if not _is_zero(dc):
+        g = b * dc + g
+    g = 0.5 * g
+    if not _is_zero(d2c):
+        g = g + 0.25 * c * d2c
+    return g
 
 
 def correction_d1(model: Model, theta: ParamVector, x) -> float:

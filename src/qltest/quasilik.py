@@ -94,11 +94,11 @@ def _terms(model: Model, delta: float, xprev, xnext, theta: ParamVector) -> np.n
     the single-path call.
     """
     b, c, g2 = _pieces(model, theta, xprev)
-    d1 = -g2 / c
+    # e = delta e1 = -delta d1; sign-symmetric IEEE arithmetic makes each
+    # term that of the formula in the module docstring, bit for bit
+    e = delta * (g2 / c)
     resid = xnext - (xprev + delta * b)
-    return resid * resid / (2.0 * delta * c) * (1.0 + delta * d1) + 0.5 * (
-        np.log(c) - delta * d1
-    )
+    return resid * resid / (2.0 * delta * c) * (1.0 - e) + 0.5 * (np.log(c) + e)
 
 
 def ql_terms(ctx: QLContext, theta: ParamVector) -> np.ndarray:

@@ -109,3 +109,32 @@ def ou_conditional_mle(path):
         intercept / (1.0 - phi),
         math.sqrt(resid_var * 2.0 * a1 / (1.0 - phi * phi)),
     ])
+
+
+def reference_gamma2(b, c, dc, d2c, db):
+    """gamma2 = (b dc + 2 c db) / 2 + c d2c / 4 with every product formed,
+    whatever the shape or value of its pieces."""
+    return 0.5 * (b * dc + 2.0 * c * db) + 0.25 * c * d2c
+
+
+def reference_terms(model, delta, xprev, xnext, theta):
+    """The terms l_i of the transitions xprev -> xnext, as the formula reads.
+
+    b, c, gamma2 and the corrections d1 = -gamma2 / c, e1 = -d1 are each
+    formed at the shape their pieces broadcast to, with no product left out:
+    the arithmetic that ``quasilik._terms`` must equal bit for bit wherever
+    the drift is finite.  c is taken as finite and positive (``_terms``
+    raises ``DomainError`` otherwise).
+    """
+    b = model.drift(theta, xprev)
+    sig = model.diff(theta, xprev)
+    c = sig * sig
+    dc = model.diffsq_dx(theta, xprev)
+    d2c = model.diffsq_dxx(theta, xprev)
+    db = model.drift_dx(theta, xprev)
+    g2 = reference_gamma2(b, c, dc, d2c, db)
+    d1 = -g2 / c
+    resid = xnext - (xprev + delta * b)
+    return resid * resid / (2.0 * delta * c) * (1.0 + delta * d1) + 0.5 * (
+        np.log(c) - delta * d1
+    )

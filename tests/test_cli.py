@@ -196,6 +196,21 @@ def test_path_too_short_for_the_model_exits_3(tmp_path, capsys, command, observa
     assert "path too short" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["estimate"],
+    *(["test", "--null", "0.5,0.5,0.25", "--stat", stat] for stat in ("t", "gqlrt", "wald", "akl")),
+])
+def test_overflowing_path_exits_3(tmp_path, capsys, command):
+    # the drift overflows at +-1e308, so the objective is inf at every start
+    csv_path = tmp_path / "huge.csv"
+    values = [0.0, 1e308, -1e308, 1e308, 0.5, -1e308, 0.2, 0.3]
+    rows = [f"{0.1 * i!r},{x!r}" for i, x in enumerate(values)]
+    csv_path.write_text("\n".join(["t,x"] + rows) + "\n")
+    code = main(command + ["--input", str(csv_path), "--model", "ou"])
+    assert code == EXIT_ESTIMATION
+    assert "non-finite objective" in capsys.readouterr().err
+
+
 def test_bs_without_threshold_exits_2(path_csv):
     code = main([
         "test", "--input", str(path_csv), "--model", "ou",

@@ -14,6 +14,7 @@ and scipy's L-BFGS-B once per polished candidate.
 import numpy as np
 import pytest
 from scipy import optimize
+from scipy.stats import qmc
 
 from qltest import (
     FitOptions,
@@ -36,6 +37,7 @@ from qltest.estimate import (
     _BIG,
     _NM_FATOL,
     _NM_XATOL,
+    _SOBOL_SEED,
     _guarded,
     _heuristic_start,
     _lbfgsb,
@@ -103,6 +105,24 @@ def _full_problem(ctxs, starts_per_path, extra_starts=()):
     f_rows = _guarded(_ql_rows(ctxs, _split(m1), row_ctx))
     objectives = [_safe(objective(ctxs[i])) for i in row_ctx]
     return f_rows, np.array(starts), objectives, box
+
+
+def test_sobol_fill_is_a_fresh_draw():
+    # the draws are kept per (d, m), read-only, and equal a fresh sequence's
+    for d, m in ((1, 1), (1, 2), (2, 2), (3, 3)):
+        cached = estimate._sobol_points(d, m)
+        fresh = qmc.Sobol(d=d, scramble=True, seed=_SOBOL_SEED).random_base2(m)
+        assert cached.shape == fresh.shape and cached.tobytes() == fresh.tobytes()
+        assert not cached.flags.writeable
+        assert estimate._sobol_points(d, m) is cached
+    lower, upper = np.full(3, 0.01), np.full(3, 5.0)
+    for extra in (None, [1.0, 1.0, 1.0]):
+        starts = _start_points(lower, upper, 8, extra=extra)
+        fill = 7 if extra is None else 6
+        pts = qmc.Sobol(d=3, scramble=True, seed=_SOBOL_SEED).random_base2(3)[:fill]
+        inset_lo, inset_hi = lower + 0.05 * (upper - lower), upper - 0.05 * (upper - lower)
+        expected = inset_lo + pts * (inset_hi - inset_lo)
+        assert np.array(starts[8 - fill:]).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("model_id", ["ou", "cir"])

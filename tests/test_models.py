@@ -23,6 +23,8 @@ from qltest import (
     mean_expansion_r1,
 )
 
+from oracles import reference_gamma2
+
 
 def test_param_vector_blocks():
     theta = ParamVector([0.5, 0.5], [0.25])
@@ -82,6 +84,27 @@ def test_gamma2_cir_affine_in_x(cir_model, theta0_cir):
         expected = 0.5 * a1 * b1**2 * (a2 - 3.0 * x)
         assert gamma2(cir_model, theta0_cir, x) == pytest.approx(expected, abs=1e-14)
     assert gamma2(cir_model, theta0_cir, 1.0) == pytest.approx(-0.009765625, abs=1e-14)
+
+
+@pytest.mark.parametrize("model_id", ["ou", "cir"])
+def test_corrections_are_shaped_like_x(model_id):
+    # every product formed over x, as the formula reads: x's shape and the
+    # formula's values, NaN where the OU drift overflows and is times dc = 0
+    model = make_model(model_id)
+    theta = ParamVector([5.0, 0.5], [0.25])
+    x = np.array([0.2, 1e308, 3.0]) if model_id == "cir" else np.array([0.2, 1e308, -1e308])
+    with np.errstate(all="ignore"):
+        c = model.diffsq(theta, x)
+        full = reference_gamma2(
+            model.drift(theta, x), c, model.diffsq_dx(theta, x),
+            model.diffsq_dxx(theta, x), model.drift_dx(theta, x),
+        )
+        values = [f(model, theta, x) for f in (gamma2, correction_d1, correction_e1)]
+    for value, expected in zip(values, [full, -full / c, -(-full / c)]):
+        assert value.shape == (3,)
+        assert np.array_equal(value.view(np.uint64), expected.view(np.uint64))
+    assert np.isnan(values[0][1]) == (model_id == "ou")
+    assert np.ndim(gamma2(model, theta, 0.5)) == 0
 
 
 @settings(max_examples=50, deadline=None)

@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qltest import (
     BoundaryError,
@@ -38,7 +41,7 @@ from qltest.estimate import _BIG, _safe
 from qltest.montecarlo import _statistic_values
 from qltest.quasilik import fd_gradient, fd_hessian
 
-from oracles import objective
+from oracles import objective, reference_terms
 
 
 @pytest.fixture()
@@ -421,3 +424,125 @@ def test_non_finite_stencil_value_leaves_information_non_finite(nan_ctx):
     row = _statistic_values(nan_ctx, fit, _THETA0["ou"], ("T", "WALD", "RAO"))
     assert math.isfinite(row[0])
     assert np.isnan(row[1]) and np.isnan(row[2])
+
+
+# --- the terms' kernel against the formula --------------------------------
+
+
+def _wavy_drift(theta, x):
+    a1, a2 = theta.alpha
+    return a2 * np.sin(x) - a1 * x
+
+
+def _wavy_drift_dx(theta, x):
+    a1, a2 = theta.alpha
+    return a2 * np.cos(x) - a1
+
+
+def _hyperbolic_diff(theta, x):
+    return theta.beta[0] * np.sqrt(1.0 + x * x)
+
+
+def _hyperbolic_diffsq_dx(theta, x):
+    b = theta.beta[0]
+    return 2.0 * b * b * x
+
+
+def _hyperbolic_diffsq_dxx(theta, x):
+    b = theta.beta[0]
+    return 2.0 * b * b * np.ones_like(x)
+
+
+def _numpy_zero(theta, x):
+    return np.float64(0.0)
+
+
+def _array_zero(theta, x):
+    return np.zeros_like(x)
+
+
+_KERNEL_MODELS = {
+    "ou": make_ou(),
+    "cir": make_model("cir"),
+    # every x-derivative an array that is not zero
+    "wavy": Model(
+        m1=2, m2=1, drift=_wavy_drift, diff=_hyperbolic_diff, drift_dx=_wavy_drift_dx,
+        diffsq_dx=_hyperbolic_diffsq_dx, diffsq_dxx=_hyperbolic_diffsq_dxx,
+        state_domain=(-math.inf, math.inf), box=make_ou().box,
+    ),
+    # the zero derivatives as numpy scalars, and as arrays (whose products are kept)
+    "ou-numpy-zero": dataclasses.replace(make_ou(), diffsq_dx=_numpy_zero, diffsq_dxx=_numpy_zero),
+    "ou-array-zero": dataclasses.replace(make_ou(), diffsq_dx=_array_zero, diffsq_dxx=_array_zero),
+}
+
+
+def _bits(a):
+    """The bit patterns of a, every NaN read as one."""
+    a = np.asarray(a, dtype=float)
+    return np.where(np.isnan(a), np.nan, a).view(np.uint64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_KERNEL_MODELS)),
+    layout=st.sampled_from(["one point", "rows", "one path"]),
+    k=st.integers(1, 4),
+    n=st.integers(1, 12),
+    delta=st.floats(1e-4, 10.0),
+    data=st.data(),
+)
+def test_terms_equal_the_formula_bit_for_bit(name, layout, k, n, delta, data):
+    # each coefficient at the shape it varies over gives the terms of the
+    # formula with every product formed, in every bit, wherever b is finite
+    model = _KERNEL_MODELS[name]
+    lo = 1e-150 if name == "cir" else -1e150
+    x = data.draw(hnp.arrays(float, (k, n + 1), elements=st.floats(lo, 1e150)))
+    block = data.draw(hnp.arrays(float, (3, k, 1), elements=st.floats(0.01, 5.0)))
+    if layout == "one point":
+        theta = ParamVector(block[:2, 0, 0], block[2:, 0, 0])
+        x = x[0]
+    else:
+        theta = ParamVector._wrap(block[:2], block[2:])
+        if layout == "one path":
+            x = x[0]
+    xprev, xnext = x[..., :-1], x[..., 1:]
+    with np.errstate(all="ignore"):
+        expected = reference_terms(model, delta, xprev, xnext, theta)
+        terms = quasilik._terms(model, delta, xprev, xnext, theta)
+    assert terms.shape == expected.shape == ((n,) if layout == "one point" else (k, n))
+    assert np.array_equal(_bits(terms), _bits(expected))
+
+
+@pytest.mark.parametrize("model_id, shape", [("ou", (4, 1)), ("cir", (4, 12))])
+def test_gamma2_of_a_block_varies_only_where_its_pieces_do(model_id, shape):
+    # a (3, k, 1) block of OU points against (k, n) paths: one gamma2 per point
+    model = make_model(model_id)
+    rng = np.random.default_rng(4)
+    block = rng.uniform(0.1, 2.0, (3, 4, 1))
+    xprev = rng.uniform(0.1, 2.0, (4, 12))
+    b, c, g2 = quasilik._pieces(model, ParamVector._wrap(block[:2], block[2:]), xprev)
+    assert g2.shape == shape
+    assert b.shape == (4, 12)
+
+
+# +-1e308 on an OU path: the drift 5 (0.5 - x) overflows there
+HUGE_VALUES = [0.0, 1e308, -1e308, 1e308, 0.5, -1e308, 0.2, 0.3]
+
+
+def test_overflowing_drift_makes_the_terms_inf():
+    # the full formula multiplied the infinite drift by dc = 0 and read NaN
+    # at some of these terms; with that product left out every one is inf
+    ctx = QLContext(make_ou(), SamplePath(delta=0.1, values=HUGE_VALUES))
+    theta = ParamVector([5.0, 0.5], [0.25])
+    with np.errstate(all="ignore"):
+        terms = ql_terms(ctx, theta)
+        full = reference_terms(ctx.model, 0.1, ctx.xprev, ctx.xnext, theta)
+        total = ql_total(ctx, theta)
+        safe = _safe(objective(ctx))(theta.full)
+    assert np.all(np.isposinf(terms[:6]))
+    assert np.array_equal(np.isnan(full[:6]), [False, True, True, True, False, True])
+    assert np.all(np.isposinf(full[[0, 4]]))
+    assert terms[6] == full[6] and math.isfinite(terms[6])
+    # the objective is non-finite either way, and the search reads it as _BIG
+    assert total == math.inf
+    assert safe == _BIG
