@@ -12,9 +12,11 @@ path's fit is judged on its own: the best candidate, its boundary flag and
 its gradient test.  A single fit (``_box_fit``) is a block of one path; the
 Monte Carlo harness searches and polishes a whole block of paths at once
 (``mqle_search``) and judges each path with ``mqle``.  ``mqle`` fits theta
-whole; ``adaptive_estimate`` fits beta alone by the local-Gaussian contrast
-(``initial_beta``), then one alpha-step and one beta-step.  Every fit
-refuses a path of fewer than m1 + m2 + 2 observations.
+whole; ``adaptive_estimate`` fits beta alone (``initial_beta``, the
+quasi-likelihood fit of the drift-free model, whose terms are the plain
+local-Gaussian contrast), then one alpha-step and one beta-step.  Every
+objective is ql_total; every fit refuses a path of fewer than m1 + m2 + 2
+observations and raises ``DomainError`` where c <= 0.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ from .quasilik import (
     _GRADIENT,
     QLContext,
     _central_difference,
+    _drift_free,
     _ql_rows,
     _row_gradients,
     _split,
-    _terms,
     ql_total,
 )
 
@@ -80,8 +82,8 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class FitResult:
-    """theta_hat: the estimate, in the box; objective: the objective there
-    (U_n for ``initial_beta``, ql_total otherwise).
+    """theta_hat: the estimate, in the box; objective: ql_total there (of
+    the drift-free model for ``initial_beta``, which is U_n).
     converged: the largest central-difference gradient entry at theta_hat is
     at most 1e-6 * (1 + |objective|), and theta_hat is not at the boundary.
     L-BFGS-B often stops first, on its 1e-10 relative objective tolerance.
@@ -277,12 +279,6 @@ def _nelder_mead(f_rows, x0, lower, upper, xatol, fatol, maxfev):
     return sim[:, 0].copy(), fsim.min(axis=1), nit
 
 
-def _search(f_rows, starts, lower, upper):
-    """The Nelder-Mead stage from every start (rows of ``starts``) at once."""
-    maxfev = 200 * lower.size
-    return _nelder_mead(f_rows, starts, lower, upper, _NM_XATOL, _NM_FATOL, maxfev)
-
-
 def _lbfgsb(fun, grad, x0, lower, upper, maxiter=_POLISH_MAXITER):
     """Bounded L-BFGS-B from every row of ``x0`` (shape (R, d)) in lockstep.
 
@@ -416,7 +412,7 @@ def _polish(fs, f_rows, searches, lower, upper, opts: FitOptions):
     return out
 
 
-def _judge(ctx: QLContext, theta_of, lower, upper, polished, terms=None) -> FitResult:
+def _judge(ctx: QLContext, theta_of, lower, upper, polished) -> FitResult:
     """The fit of the path of ctx from its entry of ``_polish``.
 
     Raises the path's ``EstimationError`` if it has one.  Otherwise the fit
@@ -433,7 +429,7 @@ def _judge(ctx: QLContext, theta_of, lower, upper, polished, terms=None) -> FitR
     converged = False
     if not at_boundary:
         # off the inset bounds, x is over three FD steps inside the box
-        f_rows = _guarded(_ql_rows([ctx], theta_of, terms=terms or _terms))
+        f_rows = _guarded(_ql_rows([ctx], theta_of))
         g = _central_difference(_GRADIENT, f_rows, x, lower, upper)
         converged = bool(np.max(np.abs(g)) <= _GRAD_TOL * (1.0 + abs(fun)))
     return FitResult(theta_of(np.clip(x, lower, upper)), fun, converged,
@@ -475,29 +471,27 @@ def _block_starts(lower, upper, opts: FitOptions, extra=None):
     return _start_points(lower, upper, max(4, opts.n_starts // 2), extra=extra)
 
 
-def _search_and_polish(ctxs, theta_of, lower, upper, starts, opts: FitOptions, terms=None):
+def _search_and_polish(ctxs, theta_of, lower, upper, starts, opts: FitOptions):
     """The search from ``starts[p]`` on the path of ``ctxs[p]``, then the
     polish, of every path of a block at once.
 
-    The objective sums ``terms`` at theta = theta_of(v) (see ``_ql_rows``),
-    ql_total by default.  The contexts share one model and one observation
-    step.  Returns what ``_polish`` returns, one entry per path.
+    The objective is ql_total at theta = theta_of(v).  The contexts share
+    one model and one observation step.  Returns what ``_polish`` returns,
+    one entry per path.
     """
     # one row evaluator, row p on the path of ctxs[p]; a search row is
     # mapped to the path of its start
-    f_rows = _guarded(_ql_rows(ctxs, theta_of, np.arange(len(ctxs)), terms=terms or _terms))
+    f_rows = _guarded(_ql_rows(ctxs, theta_of, np.arange(len(ctxs))))
     counts = [len(s) for s in starts]
     start_path = np.repeat(np.arange(len(ctxs)), counts)
-    x, fun, nit = _search(lambda rows, points: f_rows(start_path[rows], points),
-                          np.concatenate(starts), lower, upper)
+    x, fun, nit = _nelder_mead(lambda rows, points: f_rows(start_path[rows], points),
+                               np.concatenate(starts), lower, upper,
+                               _NM_XATOL, _NM_FATOL, maxfev=200 * lower.size)
     cuts = np.cumsum(counts)[:-1]
     searches = zip(np.split(x, cuts), np.split(fun, cuts), np.split(nit, cuts))
     # each path's scalar objective; ql_total is looked up at each call, as
     # the benchmark's traced run wraps it to count evaluations
-    if terms is None:
-        fs = [lambda v, ctx=ctx: ql_total(ctx, theta_of(v)) for ctx in ctxs]
-    else:
-        fs = [lambda v, p=p: f_rows([p], v[None])[0] for p in range(len(ctxs))]
+    fs = [lambda v, ctx=ctx: ql_total(ctx, theta_of(v)) for ctx in ctxs]
     return _polish(fs, f_rows, list(searches), lower, upper, opts)
 
 
@@ -507,17 +501,13 @@ def _check_length(ctx: QLContext):
         raise EstimationError("path too short for the number of parameters")
 
 
-def _box_fit(ctx: QLContext, theta_of, lower, upper, starts, opts: FitOptions,
-             terms=None) -> FitResult:
+def _box_fit(ctx: QLContext, theta_of, lower, upper, starts, opts: FitOptions) -> FitResult:
     """Fit v over [lower, upper] on the path of ctx, with theta = theta_of(v):
     the search from ``starts``, the polish and the judge, a block of one path.
-
-    The objective sums ``terms`` at theta (see ``_ql_rows``), ql_total by
-    default.
     """
     _check_length(ctx)
-    (polished,) = _search_and_polish([ctx], theta_of, lower, upper, [starts], opts, terms)
-    return _judge(ctx, theta_of, lower, upper, polished, terms)
+    (polished,) = _search_and_polish([ctx], theta_of, lower, upper, [starts], opts)
+    return _judge(ctx, theta_of, lower, upper, polished)
 
 
 def mqle_search(ctxs, opts: FitOptions = FitOptions()):
@@ -548,24 +538,19 @@ def mqle(ctx: QLContext, opts: FitOptions = FitOptions(), *, polished=None) -> F
 
 
 def initial_beta(ctx: QLContext, opts: FitOptions = FitOptions()) -> FitResult:
-    """Diffusion-block pre-estimator from the plain local-Gaussian contrast.
+    """Diffusion-block pre-estimator: the quasi-likelihood fit of the
+    drift-free model.
 
-    Minimizes U_n(beta) = (1/2) sum { (X_i - X_{i-1})^2 / (delta c) + log c }
-    over the beta box; alpha in the returned vector is the box center.
+    Minimizes U_n(beta) = (1/2) sum { (X_i - X_{i-1})^2 / (delta c) + log c },
+    ql_total with b = 0 and gamma2 = 0, over the beta box; alpha in the
+    returned vector is the box center.
     """
     m1 = ctx.model.m1
     box = ctx.model.box
     lower, upper = box.lower[m1:], box.upper[m1:]
-    dx2 = np.diff(ctx.path.values) ** 2
     alpha_c = box.center()[:m1]
-
-    # where c <= 0, log c is -inf or NaN and the guarded row reads _BIG
-    def u_terms(model, delta, xprev, _xnext, theta):
-        c = model.diffsq(theta, xprev)
-        return 0.5 * (dx2 / (delta * c) + np.log(c))
-
-    return _box_fit(ctx, lambda bv: ParamVector._wrap(alpha_c, bv), lower, upper,
-                    _block_starts(lower, upper, opts), opts, terms=u_terms)
+    return _box_fit(_drift_free(ctx), lambda bv: ParamVector._wrap(alpha_c, bv), lower, upper,
+                    _block_starts(lower, upper, opts), opts)
 
 
 def adaptive_estimate(ctx: QLContext, opts: FitOptions = FitOptions()) -> FitResult:

@@ -27,7 +27,7 @@ import numpy as np
 from .distributions import chi2_cdf, chi2_quantile, noncentral_chi2_cdf
 from .errors import ConfigError, RaoUndefinedError, StatisticError
 from .models import ParamVector
-from .quasilik import InfoMatrix, QLContext, observed_info, ql_grad, ql_terms
+from .quasilik import InfoMatrix, QLContext, _drift_free, observed_info, ql_grad, ql_terms
 
 __all__ = [
     "STATISTIC_KINDS",
@@ -259,22 +259,15 @@ def phi_divergence_statistic(
 
 
 def stepwise_beta(ctx, beta_tilde, beta0, level=0.05, threshold=None) -> TestReport:
-    """First-stage test of the diffusion block against beta0."""
+    """First-stage test of the diffusion block against beta0: sum (2 dl_i)^2,
+    dl_i the drift-free terms at beta_tilde less those at beta0 (alpha at the box center)."""
     model = ctx.model
-    path = ctx.path
-    xprev = path.values[:-1]
-    dx2 = np.diff(path.values) ** 2
     alpha_c = model.box.center()[: model.m1]
-    c_tilde = np.asarray(
-        model.diffsq(ParamVector(alpha_c, beta_tilde), xprev), dtype=float
-    )
-    c_0 = np.asarray(model.diffsq(ParamVector(alpha_c, beta0), xprev), dtype=float)
-    if np.any(c_tilde <= 0) or np.any(c_0 <= 0):
-        raise StatisticError("nonpositive diffusion coefficient in stepwise test")
-    terms = dx2 / path.delta * (1.0 / c_tilde - 1.0 / c_0) + np.log(c_tilde / c_0)
-    stat = float(np.sum(terms * terms))
     theta_tilde = ParamVector(alpha_c, beta_tilde)
     theta_null = ParamVector(alpha_c, beta0)
+    free = _drift_free(ctx)
+    diff = 2.0 * (ql_terms(free, theta_tilde) - ql_terms(free, theta_null))
+    stat = float(np.sum(diff * diff))
     return _finish("STEP_BETA", stat, model.m2, level, threshold, theta_tilde, theta_null)
 
 

@@ -169,7 +169,8 @@ class Model:
     An x-derivative that is identically zero should return the float
     ``0.0`` (``_zero``): the quasi-likelihood then leaves its product out of
     gamma2, which for OU is one value per parameter point, not one per
-    observation.  An array of zeros gives the same terms at full cost.
+    observation, and with all three zero it leaves out the correction.  An
+    array of zeros gives the same terms at full cost.
     """
 
     m1: int
@@ -246,11 +247,12 @@ def _gamma2(b, c, dc, d2c, db):
 
     A product with an x-derivative that is the float 0 is left out, so
     gamma2 varies only where its pieces do: for OU it is one value per
-    parameter point, not one per observation.  Where c is finite and
-    positive and the drift finite, that product is +-0, and the value
-    differs from the full sum at most in the sign of a zero.
+    parameter point, not one per observation, and with all three the float
+    0 it is the float 0.  Where c is finite and positive and the drift
+    finite, that product is +-0, and the value differs from the full sum at
+    most in the sign of a zero.
     """
-    g = 2.0 * c * db
+    g = 0.0 if _is_zero(db) else 2.0 * c * db
     if not _is_zero(dc):
         g = b * dc + g
     g = 0.5 * g

@@ -20,12 +20,12 @@ evaluator; the estimator's search and polish use it as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import BoundaryError, DomainError
-from .models import Model, ParamVector, _gamma2
+from .models import Model, ParamVector, _gamma2, _is_zero, _zero
 
 __all__ = [
     "QLContext",
@@ -67,6 +67,13 @@ class QLContext:
         object.__setattr__(self, "xnext", self.path.values[1:])
 
 
+def _drift_free(ctx: QLContext) -> QLContext:
+    """ctx with the drift and every x-derivative the float 0: its terms are
+    (1/2) {(X_i - X_{i-1})^2 / (delta c) + log c}, the local-Gaussian contrast."""
+    model = replace(ctx.model, drift=_zero, drift_dx=_zero, diffsq_dx=_zero, diffsq_dxx=_zero)
+    return QLContext(model, ctx.path)
+
+
 def _pieces(model: Model, theta: ParamVector, xprev):
     """b, c, gamma2 at the left endpoints ``xprev``.
 
@@ -94,11 +101,14 @@ def _terms(model: Model, delta: float, xprev, xnext, theta: ParamVector) -> np.n
     the single-path call.
     """
     b, c, g2 = _pieces(model, theta, xprev)
+    resid = xnext - (xprev + delta * b)
+    quad = resid * resid / (2.0 * delta * c)
+    if _is_zero(g2):  # no correction: the factor 1 and the term 0 left out
+        return quad + 0.5 * np.log(c)
     # e = delta e1 = -delta d1; sign-symmetric IEEE arithmetic makes each
     # term that of the formula in the module docstring, bit for bit
     e = delta * (g2 / c)
-    resid = xnext - (xprev + delta * b)
-    return resid * resid / (2.0 * delta * c) * (1.0 - e) + 0.5 * (np.log(c) + e)
+    return quad * (1.0 - e) + 0.5 * (np.log(c) + e)
 
 
 def ql_terms(ctx: QLContext, theta: ParamVector) -> np.ndarray:
@@ -253,18 +263,17 @@ def _split(m1):
     return lambda block: ParamVector._wrap(block[:m1], block[m1:])
 
 
-def _ql_rows(ctxs, theta_of, row_ctx=None, terms=_terms):
+def _ql_rows(ctxs, theta_of, row_ctx=None):
     """The row evaluator: f(rows, points) sums the terms of each listed row.
 
     Row r of ``points`` (shape (k, d)) is mapped by ``theta_of`` to a
     parameter, the (d, k, 1) block of a chunk of rows becoming one
     parameter block, and its terms are summed on the path of
     ``ctxs[row_ctx[rows[r]]]``; with one context every row is on its path,
-    broadcast as (1, n), and ``rows`` is not read.  ``terms(model, delta,
-    xprev, xnext, theta)`` defaults to the quasi-likelihood terms, so a row
-    is ql_total at its point, bit for bit.  Chunks hold at most
-    _CHUNK_VALUES // n rows.  Nothing is caught and no value is mapped: a
-    non-finite total stays non-finite.
+    broadcast as (1, n), and ``rows`` is not read.  A row is ql_total at
+    its point, bit for bit.  Chunks hold at most _CHUNK_VALUES // n rows.
+    Nothing is caught and no value is mapped: a non-finite total stays
+    non-finite.
     """
     model, delta = ctxs[0].model, ctxs[0].path.delta
     if len(ctxs) == 1:
@@ -283,7 +292,7 @@ def _ql_rows(ctxs, theta_of, row_ctx=None, terms=_terms):
             else:
                 paths = row_ctx[rows[i : i + chunk]]
                 xp, xn = xprev[paths], xnext[paths]
-            out[i : i + chunk] = terms(model, delta, xp, xn, theta_of(block)).sum(axis=1)
+            out[i : i + chunk] = _terms(model, delta, xp, xn, theta_of(block)).sum(axis=1)
         return out
 
     return f

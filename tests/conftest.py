@@ -1,6 +1,8 @@
 """Shared fixtures: built-in models, canonical parameters, one cached
 long Ornstein-Uhlenbeck path with its fitted estimator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,18 @@ def ou_model():
 @pytest.fixture(scope="session")
 def cir_model():
     return make_cir()
+
+
+def _diff_zero_below_one(theta, x):
+    """A diffusion coefficient that is 0 where b1 <= 1."""
+    b1 = theta.beta[0]
+    return np.where(b1 > 1.0, b1, 0.0)
+
+
+@pytest.fixture(scope="session")
+def ou_c_zero_below_one(ou_model):
+    """OU with c = 0 where b1 <= 1, inside the default box."""
+    return dataclasses.replace(ou_model, diff=_diff_zero_below_one)
 
 
 @pytest.fixture(scope="session")

@@ -138,3 +138,21 @@ def reference_terms(model, delta, xprev, xnext, theta):
     return resid * resid / (2.0 * delta * c) * (1.0 + delta * d1) + 0.5 * (
         np.log(c) - delta * d1
     )
+
+
+def reference_stepwise_beta(ctx, beta_tilde, beta0):
+    """The stepwise beta statistic sum_i (dX_i^2 / delta (1/c~ - 1/c0) + log(c~/c0))^2.
+
+    c~ and c0 are c at X_{i-1} with beta_tilde and with beta0, alpha at the
+    box center (c does not depend on alpha for the built-in models).  Each
+    summand is twice the difference of the local-Gaussian contrast's terms,
+    written out from c alone.
+    """
+    model, path = ctx.model, ctx.path
+    xprev = path.values[:-1]
+    dx2 = np.diff(path.values) ** 2
+    alpha_c = model.box.center()[: model.m1]
+    c_tilde = np.asarray(model.diffsq(ParamVector(alpha_c, beta_tilde), xprev), dtype=float)
+    c_0 = np.asarray(model.diffsq(ParamVector(alpha_c, beta0), xprev), dtype=float)
+    terms = dx2 / path.delta * (1.0 / c_tilde - 1.0 / c_0) + np.log(c_tilde / c_0)
+    return float(np.sum(terms * terms))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qltest import (
+    DomainError,
     EstimationError,
     FitOptions,
     ParamVector,
@@ -102,3 +103,14 @@ def test_bug_in_model_callback_propagates(ou_ctx_1000, ou_model):
     ctx = QLContext(model, ou_ctx_1000.path)
     with pytest.raises(ValueError, match="bug in drift"):
         mqle(ctx)
+
+
+def test_zero_diffusion_in_the_box_raises_domain_error_in_every_fit(ou_model, ou_c_zero_below_one):
+    # every fit evaluates the one quasi-likelihood kernel at points of the
+    # box where c = 0, which it refuses, even on a path that favours b1 = 2
+    path = euler_maruyama(ou_model, ParamVector([0.5, 0.5], [2.0]),
+                          SimConfig(n=200, delta=0.01, x0=0.5, seed=11))
+    ctx = QLContext(ou_c_zero_below_one, path)
+    for fit in (mqle, initial_beta, adaptive_estimate):
+        with pytest.raises(DomainError):
+            fit(ctx)

@@ -17,6 +17,7 @@ from qltest import (
     euler_maruyama,
     gqlrt_statistic,
     initial_beta,
+    make_model,
     phi_divergence_statistic,
     power_approximation,
     rao_statistic,
@@ -27,6 +28,8 @@ from qltest import (
 )
 from qltest.hypotests import report_csv_header, report_csv_row
 from qltest.quasilik import InfoMatrix
+
+from oracles import reference_stepwise_beta
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +156,25 @@ def test_stepwise_pair(ou_ctx_1000, theta0_ou):
 def test_stepwise_beta_zero_at_null(ou_ctx_1000, theta0_ou):
     report = stepwise_beta(ou_ctx_1000, theta0_ou.beta, theta0_ou.beta)
     assert report.statistic == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("model_id", ["ou", "cir"])
+@pytest.mark.parametrize("n", [100, 1000])
+def test_stepwise_beta_equals_the_contrast_formula(model_id, n, request):
+    # the statistic is taken from the drift-free quasi-likelihood terms; the
+    # oracle writes the contrast's differences out from c alone
+    model = make_model(model_id)
+    theta0 = request.getfixturevalue(f"theta0_{model_id}")
+    for seed in range(3):
+        path = euler_maruyama(
+            model, theta0, SimConfig(n=n, delta=n ** (-2.0 / 3.0), x0=1.0, seed=300 + seed))
+        ctx = QLContext(model, path)
+        beta_tilde = initial_beta(ctx).theta_hat.beta
+        stat = stepwise_beta(ctx, beta_tilde, theta0.beta).statistic
+        assert stat > 0.0
+        assert stat == pytest.approx(
+            reference_stepwise_beta(ctx, beta_tilde, theta0.beta), rel=1e-12, abs=0.0)
+        assert stepwise_beta(ctx, theta0.beta, theta0.beta).statistic == 0.0
 
 
 def _ou_info():

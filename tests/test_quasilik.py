@@ -395,15 +395,8 @@ def test_stencil_within_a_step_of_the_box_raises_boundary_error(ou_ctx_1000, coo
         assert row_exc.value.coordinate == scalar_exc.value.coordinate == coordinate
 
 
-def _diff_zero_below_one(theta, x):
-    """A diffusion coefficient that is 0 where b1 <= 1."""
-    b1 = theta.beta[0]
-    return np.where(b1 > 1.0, b1, 0.0)
-
-
-def test_stencil_point_with_zero_diffusion_raises_domain_error(ou_ctx_1000):
-    model = dataclasses.replace(ou_ctx_1000.model, diff=_diff_zero_below_one)
-    ctx = QLContext(model, ou_ctx_1000.path)
+def test_stencil_point_with_zero_diffusion_raises_domain_error(ou_ctx_1000, ou_c_zero_below_one):
+    ctx = QLContext(ou_c_zero_below_one, ou_ctx_1000.path)
     # b1 half a step above 1: the stencil point b1 - h has c = 0
     theta = ParamVector([0.5, 0.5], [1.0 + 0.5 * quasilik.FD_REL_STEP])
     ql_total(ctx, theta)  # the centre itself is fine
@@ -461,6 +454,11 @@ def _array_zero(theta, x):
     return np.zeros_like(x)
 
 
+def _constant_drift(theta, x):
+    a1, a2 = theta.alpha
+    return a1 - a2
+
+
 _KERNEL_MODELS = {
     "ou": make_ou(),
     "cir": make_model("cir"),
@@ -473,6 +471,13 @@ _KERNEL_MODELS = {
     # the zero derivatives as numpy scalars, and as arrays (whose products are kept)
     "ou-numpy-zero": dataclasses.replace(make_ou(), diffsq_dx=_numpy_zero, diffsq_dxx=_numpy_zero),
     "ou-array-zero": dataclasses.replace(make_ou(), diffsq_dx=_array_zero, diffsq_dxx=_array_zero),
+    # every x-derivative the float 0, so gamma2 is the float 0: Brownian
+    # motion with drift, and the drift-free OU and CIR
+    "constant-drift": dataclasses.replace(make_ou(), drift=_constant_drift,
+                                          drift_dx=_numpy_zero),
+    **{f"{model_id}-drift-free": quasilik._drift_free(
+        QLContext(make_model(model_id), SamplePath(delta=1.0, values=[1.0, 1.0, 1.0]))).model
+       for model_id in ("ou", "cir")},
 }
 
 
@@ -495,7 +500,7 @@ def test_terms_equal_the_formula_bit_for_bit(name, layout, k, n, delta, data):
     # each coefficient at the shape it varies over gives the terms of the
     # formula with every product formed, in every bit, wherever b is finite
     model = _KERNEL_MODELS[name]
-    lo = 1e-150 if name == "cir" else -1e150
+    lo = 1e-150 if name.startswith("cir") else -1e150
     x = data.draw(hnp.arrays(float, (k, n + 1), elements=st.floats(lo, 1e150)))
     block = data.draw(hnp.arrays(float, (3, k, 1), elements=st.floats(0.01, 5.0)))
     if layout == "one point":
