@@ -1,19 +1,18 @@
 """Maximum quasi-likelihood estimation over the compact parameter box.
 
-Every fit is of a flat vector v over a box, theta being theta_of(v), in
-three stages.  First a bounded Nelder-Mead search runs from several
-deterministic starts as rows of one lockstep search that takes, row for row,
-exactly the steps of scipy's per-start ``minimize(method="Nelder-Mead")``.
-Then the best searched starts are polished by L-BFGS-B in lockstep
+Every fit is of a flat vector v over a box, theta being theta_of(v), and
+fits a block of paths at once (``_search_and_polish``), in three stages.
+First a bounded Nelder-Mead search runs from several deterministic starts of
+every path as rows of one lockstep search that takes, row for row, exactly
+the steps of scipy's per-start ``minimize(method="Nelder-Mead")``.  Then the
+best searched starts of every path are polished by L-BFGS-B in lockstep
 (``_lbfgsb``), each taking exactly the steps of scipy's per-candidate
-``minimize(method="L-BFGS-B")``: its objective is the scalar ql_total, and
-the finite-difference gradients of a round are one row call.  Last, each
-path's fit is judged on its own: the best candidate, its boundary flag and
-its gradient test.  A single fit (``_box_fit``) is a block of one path; the
-Monte Carlo harness searches and polishes a whole block of paths at once
-(``mqle_search``) and judges each path with ``mqle``.  ``mqle`` fits theta
-whole; ``adaptive_estimate`` fits beta alone (``initial_beta``, the
-quasi-likelihood fit of the drift-free model, whose terms are the plain
+``minimize(method="L-BFGS-B")`` on the scalar ql_total, the finite-difference
+gradients of a round one row call.  Last, each path's fit is judged on its
+own: the best candidate, its boundary flag and its gradient test.  ``mqle``
+fits theta whole, as a block of one or as its path's entry of
+``mqle_search``; ``adaptive_estimate`` fits beta alone (``initial_beta``,
+the quasi-likelihood fit of the drift-free model, whose terms are the plain
 local-Gaussian contrast), then one alpha-step and one beta-step.  Every
 objective is ql_total; every fit refuses a path of fewer than m1 + m2 + 2
 observations and raises ``DomainError`` where c <= 0.
@@ -164,12 +163,12 @@ def _guarded(f_rows):
     return f
 
 
-def _nelder_mead(f_rows, x0, lower, upper, xatol, fatol, maxfev):
+def _nelder_mead(f_rows, x0, lower, upper, maxfev):
     """Bounded Nelder-Mead from every row of ``x0`` (shape (R, d)) in lockstep.
 
     Row r takes exactly the steps of scipy 1.17's ``minimize(f, x0[r],
-    method="Nelder-Mead", bounds=..., options=dict(xatol=xatol,
-    fatol=fatol, maxiter=maxfev, maxfev=maxfev))``: the same initial simplex,
+    method="Nelder-Mead", bounds=..., options=dict(xatol=_NM_XATOL,
+    fatol=_NM_FATOL, maxiter=maxfev, maxfev=maxfev))``: the same initial simplex,
     trial points, comparisons, sorts and evaluation budget.  A row whose
     budget runs out inside an iteration keeps that iteration's partial state
     and does not count it, as scipy does.  ``f_rows(rows, points)`` returns
@@ -215,8 +214,8 @@ def _nelder_mead(f_rows, x0, lower, upper, xatol, fatol, maxfev):
     while True:
         live = np.flatnonzero(~converged & (fcalls < maxfev) & (nit < maxfev))
         s, fs = sim[live], fsim[live]
-        done = (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol) & (
-            np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol
+        done = (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= _NM_XATOL) & (
+            np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= _NM_FATOL
         )
         if done.any():
             converged[live[done]] = True
@@ -350,7 +349,7 @@ def _lbfgsb(fun, grad, x0, lower, upper, maxiter=_POLISH_MAXITER):
 
 
 class _Polished(NamedTuple):
-    """One problem's polished candidates, best searched start first.
+    """One path's polished candidates, best searched start first.
 
     x, fun: each candidate's polished point and objective; start: the index
     of the start it was searched from.  iterations: the search iterations of
@@ -372,48 +371,8 @@ def _polish_bounds(lower, upper):
     return lower + inset, upper - inset
 
 
-def _polish(fs, f_rows, searches, lower, upper, opts: FitOptions):
-    """L-BFGS-B polish of the best searched starts of every problem of a block.
-
-    Problem p has the scalar objective ``fs[p]`` and the searched starts
-    ``searches[p]`` = (x, fun, nit), in start order.  ``f_rows`` is the
-    block's guarded row evaluator, row p on problem p's path.  The
-    ``opts.polish_top`` best finite starts of every problem are polished as
-    rows of one ``_lbfgsb`` run, from inside the polish's bounds, each row's
-    FD gradient a stencil of one ``f_rows`` call per round.  Returns, for
-    each problem, its ``_Polished``, or the ``EstimationError`` of a problem
-    whose starts all failed.
-    """
-    fs = [_safe(f) for f in fs]
-    picked = []  # the start indices of each problem's candidates
-    for _, funs, _ in searches:
-        finite = sorted((fun, idx) for idx, fun in enumerate(funs)
-                        if np.isfinite(fun) and fun < _BIG)
-        picked.append(np.array([idx for _, idx in finite[: max(1, opts.polish_top)]], dtype=int))
-    counts = [best.size for best in picked]
-    problem = np.repeat(np.arange(len(searches)), counts)
-    plo, phi = _polish_bounds(lower, upper)
-    x0 = np.concatenate([xs[best] for (xs, _, _), best in zip(searches, picked)])
-    x, fun, nit = _lbfgsb(
-        lambda r, v: fs[problem[r]](v),
-        lambda rows, points: _row_gradients(f_rows, problem[rows], points),
-        x0, plo, phi)
-
-    out = []
-    cuts = np.cumsum(counts)[:-1]
-    for (_, funs, nits), best, xp, fp, polish_nit in zip(
-            searches, picked, np.split(x, cuts), np.split(fun, cuts), np.split(nit, cuts)):
-        if best.size:
-            iterations = int(np.sum(nits)) + int(polish_nit.sum())
-            out.append(_Polished(xp, fp, best, iterations, len(funs)))
-        else:
-            out.append(EstimationError("all optimizer starts failed", diagnostics=[
-                f"start {idx}: non-finite objective" for idx in range(len(funs))]))
-    return out
-
-
 def _judge(ctx: QLContext, theta_of, lower, upper, polished) -> FitResult:
-    """The fit of the path of ctx from its entry of ``_polish``.
+    """The fit of the path of ctx from its entry of ``_search_and_polish``.
 
     Raises the path's ``EstimationError`` if it has one.  Otherwise the fit
     is the best polished candidate, ties to the earlier start; it is at the
@@ -460,12 +419,6 @@ def _heuristic_start(ctx: QLContext):
     return start
 
 
-def _joint_starts(ctx: QLContext, opts: FitOptions):
-    """The starts of a fit of the whole parameter over the box."""
-    box = ctx.model.box
-    return _start_points(box.lower, box.upper, opts.n_starts, extra=_heuristic_start(ctx))
-
-
 def _block_starts(lower, upper, opts: FitOptions, extra=None):
     """The starts of a fit of one parameter block: half as many, at least 4."""
     return _start_points(lower, upper, max(4, opts.n_starts // 2), extra=extra)
@@ -473,26 +426,45 @@ def _block_starts(lower, upper, opts: FitOptions, extra=None):
 
 def _search_and_polish(ctxs, theta_of, lower, upper, starts, opts: FitOptions):
     """The search from ``starts[p]`` on the path of ``ctxs[p]``, then the
-    polish, of every path of a block at once.
+    polish of its ``opts.polish_top`` best finite starts from inside the
+    polish's bounds, for every path of a block at once.
 
-    The objective is ql_total at theta = theta_of(v).  The contexts share
-    one model and one observation step.  Returns what ``_polish`` returns,
-    one entry per path.
+    The objective is ql_total at theta = theta_of(v); the contexts share one
+    model and one observation step.  Returns, for each path, its
+    ``_Polished``, or the ``EstimationError`` of a path whose starts all failed.
     """
-    # one row evaluator, row p on the path of ctxs[p]; a search row is
-    # mapped to the path of its start
-    f_rows = _guarded(_ql_rows(ctxs, theta_of, np.arange(len(ctxs))))
+    f_rows = _guarded(_ql_rows(ctxs, theta_of))
     counts = [len(s) for s in starts]
-    start_path = np.repeat(np.arange(len(ctxs)), counts)
-    x, fun, nit = _nelder_mead(lambda rows, points: f_rows(start_path[rows], points),
-                               np.concatenate(starts), lower, upper,
-                               _NM_XATOL, _NM_FATOL, maxfev=200 * lower.size)
-    cuts = np.cumsum(counts)[:-1]
-    searches = zip(np.split(x, cuts), np.split(fun, cuts), np.split(nit, cuts))
+    path = np.repeat(np.arange(len(ctxs)), counts)  # the path of each search row
+    x, fun, nit = _nelder_mead(lambda rows, points: f_rows(path[rows], points),
+                               np.concatenate(starts), lower, upper, maxfev=200 * lower.size)
+    # the polish rows: each path's best finite starts, ties to the earlier start
+    order = np.lexsort((fun, path))
+    order = order[fun[order] < _BIG]
+    rank = np.arange(order.size) - np.searchsorted(path[order], path[order])
+    best = order[rank < max(1, opts.polish_top)]
     # each path's scalar objective; ql_total is looked up at each call, as
     # the benchmark's traced run wraps it to count evaluations
-    fs = [lambda v, ctx=ctx: ql_total(ctx, theta_of(v)) for ctx in ctxs]
-    return _polish(fs, f_rows, list(searches), lower, upper, opts)
+    fs = [_safe(lambda v, ctx=ctx: ql_total(ctx, theta_of(v))) for ctx in ctxs]
+    owner = path[best]  # the path of each polish row
+    plo, phi = _polish_bounds(lower, upper)
+    xp, fp, nitp = _lbfgsb(
+        lambda r, v: fs[owner[r]](v),
+        lambda rows, points: _row_gradients(f_rows, owner[rows], points),
+        x[best], plo, phi)
+
+    # per path: the search and polish iterations, and its rows of the polish
+    iterations = np.bincount(path, nit, len(ctxs)) + np.bincount(owner, nitp, len(ctxs))
+    first = np.cumsum(counts) - counts  # the search row of each path's start 0
+    cuts = np.searchsorted(owner, np.arange(1, len(ctxs)))
+    out = []
+    for p, picked, xs, funs in zip(range(len(ctxs)), *(np.split(a, cuts) for a in (best, xp, fp))):
+        if picked.size:
+            out.append(_Polished(xs, funs, picked - first[p], int(iterations[p]), counts[p]))
+        else:
+            out.append(EstimationError("all optimizer starts failed", diagnostics=[
+                f"start {idx}: non-finite objective" for idx in range(counts[p])]))
+    return out
 
 
 def _check_length(ctx: QLContext):
@@ -511,30 +483,31 @@ def _box_fit(ctx: QLContext, theta_of, lower, upper, starts, opts: FitOptions) -
 
 
 def mqle_search(ctxs, opts: FitOptions = FitOptions()):
-    """The search and the polish of ``mqle`` on several paths at once.
+    """The search and the polish of ``mqle`` on a block of paths at once.
 
     The contexts share one model and one observation step.  Returns, for
     each context, what ``mqle(ctx, opts, polished=...)`` judges: the
     polished candidates, or that path's ``EstimationError``.
     """
     box = ctxs[0].model.box
+    starts = [_start_points(box.lower, box.upper, opts.n_starts, extra=_heuristic_start(ctx))
+              for ctx in ctxs]
     return _search_and_polish(ctxs, _split(ctxs[0].model.m1), box.lower, box.upper,
-                              [_joint_starts(ctx, opts) for ctx in ctxs], opts)
+                              starts, opts)
 
 
 def mqle(ctx: QLContext, opts: FitOptions = FitOptions(), *, polished=None) -> FitResult:
     """Minimize ql_total over the box; deterministic multi-start search.
 
+    The fit of a block of one: ``mqle_search([ctx], opts)``, then the judge.
     ``polished`` is this path's entry of ``mqle_search``, when the search
-    and the polish already ran with other paths; by default they run here.
-    Either way the fit is the same.
+    and the polish already ran with other paths; the fit is the same.
     """
-    box = ctx.model.box
-    theta_of = _split(ctx.model.m1)
-    if polished is None:
-        return _box_fit(ctx, theta_of, box.lower, box.upper, _joint_starts(ctx, opts), opts)
     _check_length(ctx)
-    return _judge(ctx, theta_of, box.lower, box.upper, polished)
+    if polished is None:
+        (polished,) = mqle_search([ctx], opts)
+    box = ctx.model.box
+    return _judge(ctx, _split(ctx.model.m1), box.lower, box.upper, polished)
 
 
 def initial_beta(ctx: QLContext, opts: FitOptions = FitOptions()) -> FitResult:

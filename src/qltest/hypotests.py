@@ -75,6 +75,8 @@ def _chi2_threshold(kind, level, df) -> float:
 
 
 def _finish(kind, stat, df, level, threshold, theta_hat, theta_null, saturated=0):
+    if not 0.0 < level < 1.0:
+        raise ConfigError(f"level must lie in (0, 1), got {level!r}")
     if threshold is not None and not math.isfinite(threshold):
         raise ConfigError(f"threshold must be finite, got {threshold!r}")
     if not math.isfinite(stat):
@@ -216,6 +218,8 @@ STATISTIC_KINDS = (*_STATISTICS, "STEP_BETA", "STEP_ALPHA")
 
 def _report(kind, ctx, theta_hat, theta0, level, threshold) -> TestReport:
     """The test report of a tabulated kind, its pieces from this module's bindings."""
+    ctx.model.check_theta(theta_hat)
+    ctx.model.check_theta(theta0)
     pieces = _Pieces(ctx, theta_hat, theta0, ql_terms, observed_info, ql_grad, _phi_ratios)
     stat = _STATISTICS[kind].value(pieces)
     df = ctx.model.m1 + ctx.model.m2
@@ -224,8 +228,6 @@ def _report(kind, ctx, theta_hat, theta0, level, threshold) -> TestReport:
 
 def t_statistic(ctx, theta_hat, theta0, level=0.05, threshold=None) -> TestReport:
     """n times the empirical L2-distance between fitted and null terms."""
-    ctx.model.check_theta(theta_hat)
-    ctx.model.check_theta(theta0)
     return _report("T", ctx, theta_hat, theta0, level, threshold)
 
 
@@ -265,6 +267,8 @@ def stepwise_beta(ctx, beta_tilde, beta0, level=0.05, threshold=None) -> TestRep
     alpha_c = model.box.center()[: model.m1]
     theta_tilde = ParamVector(alpha_c, beta_tilde)
     theta_null = ParamVector(alpha_c, beta0)
+    model.check_theta(theta_tilde)
+    model.check_theta(theta_null)
     free = _drift_free(ctx)
     diff = 2.0 * (ql_terms(free, theta_tilde) - ql_terms(free, theta_null))
     stat = float(np.sum(diff * diff))
@@ -276,6 +280,8 @@ def stepwise_alpha(ctx, alpha_tilde, alpha0, beta_tilde, level=0.05, threshold=N
     model = ctx.model
     theta_tilde = ParamVector(alpha_tilde, beta_tilde)
     theta_null = ParamVector(alpha0, beta_tilde)
+    model.check_theta(theta_tilde)
+    model.check_theta(theta_null)
     diff = ql_terms(ctx, theta_tilde) - ql_terms(ctx, theta_null)
     stat = float(np.sum(diff * diff))
     return _finish("STEP_ALPHA", stat, model.m1, level, threshold, theta_tilde, theta_null)

@@ -263,13 +263,13 @@ def _split(m1):
     return lambda block: ParamVector._wrap(block[:m1], block[m1:])
 
 
-def _ql_rows(ctxs, theta_of, row_ctx=None):
+def _ql_rows(ctxs, theta_of):
     """The row evaluator: f(rows, points) sums the terms of each listed row.
 
     Row r of ``points`` (shape (k, d)) is mapped by ``theta_of`` to a
     parameter, the (d, k, 1) block of a chunk of rows becoming one
     parameter block, and its terms are summed on the path of
-    ``ctxs[row_ctx[rows[r]]]``; with one context every row is on its path,
+    ``ctxs[rows[r]]``; with one context every row is on its path,
     broadcast as (1, n), and ``rows`` is not read.  A row is ql_total at
     its point, bit for bit.  Chunks hold at most _CHUNK_VALUES // n rows.
     Nothing is caught and no value is mapped: a non-finite total stays
@@ -290,7 +290,7 @@ def _ql_rows(ctxs, theta_of, row_ctx=None):
             if xprev.ndim == 1:
                 xp, xn = xprev, xnext
             else:
-                paths = row_ctx[rows[i : i + chunk]]
+                paths = rows[i : i + chunk]
                 xp, xn = xprev[paths], xnext[paths]
             out[i : i + chunk] = _terms(model, delta, xp, xn, theta_of(block)).sum(axis=1)
         return out

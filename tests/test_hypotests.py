@@ -50,6 +50,43 @@ def test_distance_checks_box(ou_ctx_1000, theta0_ou):
         empirical_l2_distance(ou_ctx_1000, theta0_ou, ParamVector([0.5, 6.0], [0.25]))
 
 
+# parameters a statistic must refuse with ConfigError
+_BAD = {
+    "blocks": ParamVector([0.5], [0.5, 0.25]),
+    "alpha outside": ParamVector([0.5, 9.0], [0.25]),
+    "beta outside": ParamVector([0.5, 0.5], [9.0]),
+}
+
+# each public statistic as a call on (ctx, fitted, null, level), with the
+# bad parameters it must refuse; a stepwise test reads one block of each
+_CALLS = {
+    "T": (lambda c, f, n, lv: t_statistic(c, f, n, lv), _BAD),
+    "GQLRT": (lambda c, f, n, lv: gqlrt_statistic(c, f, n, lv), _BAD),
+    "WALD": (lambda c, f, n, lv: wald_statistic(c, f, n, lv), _BAD),
+    "RAO": (lambda c, f, n, lv: rao_statistic(c, f, n, lv), _BAD),
+    "AKL": (lambda c, f, n, lv: phi_divergence_statistic(c, f, n, "AKL", lv), _BAD),
+    "STEP_BETA": (lambda c, f, n, lv: stepwise_beta(c, f.beta, n.beta, lv),
+                  ("blocks", "beta outside")),
+    "STEP_ALPHA": (lambda c, f, n, lv: stepwise_alpha(c, f.alpha, n.alpha, f.beta, lv),
+                   ("blocks", "alpha outside")),
+}
+
+
+@pytest.mark.parametrize("kind", list(_CALLS))
+def test_every_statistic_checks_its_parameters_and_level(kind, ou_ctx_1000, theta0_ou,
+                                                          theta_hat):
+    call, bad = _CALLS[kind]
+    assert call(ou_ctx_1000, theta_hat, theta0_ou, 0.05).kind == kind
+    for name in bad:
+        with pytest.raises(ConfigError):
+            call(ou_ctx_1000, theta_hat, _BAD[name], 0.05)
+        with pytest.raises(ConfigError):
+            call(ou_ctx_1000, _BAD[name], theta0_ou, 0.05)
+    for level in (0.0, 1.0, 1.5, math.nan):
+        with pytest.raises(ConfigError, match="level"):
+            call(ou_ctx_1000, theta_hat, theta0_ou, level)
+
+
 def test_t_statistic_report(ou_ctx_1000, theta0_ou, theta_hat):
     report = t_statistic(ou_ctx_1000, theta_hat, theta0_ou)
     assert report.kind == "T"

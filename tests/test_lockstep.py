@@ -11,6 +11,8 @@ fits built on them must equal a reference fit, kept here and in
 and scipy's L-BFGS-B once per polished candidate.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -44,6 +46,7 @@ from qltest.estimate import (
     _nelder_mead,
     _polish_bounds,
     _safe,
+    _search_and_polish,
     _start_points,
     mqle_search,
 )
@@ -102,8 +105,12 @@ def _full_problem(ctxs, starts_per_path, extra_starts=()):
         starts.append(np.asarray(x0, dtype=float))
         row_ctx.append(i)
     row_ctx = np.array(row_ctx)
-    f_rows = _guarded(_ql_rows(ctxs, _split(m1), row_ctx))
+    ql_rows = _guarded(_ql_rows(ctxs, _split(m1)))
     objectives = [_safe(objective(ctxs[i])) for i in row_ctx]
+
+    def f_rows(rows, points):  # row r on the path of its start, ctxs[row_ctx[r]]
+        return ql_rows(row_ctx[rows], points)
+
     return f_rows, np.array(starts), objectives, box
 
 
@@ -136,7 +143,7 @@ def test_rows_equal_scipy(model_id, n, paths):
     chunk = _CHUNK_VALUES // n
     assert len(starts) % chunk != 0  # the last chunk is a partial one
     maxfev = 200 * box.dim
-    lockstep = _nelder_mead(f_rows, starts, box.lower, box.upper, XATOL, FATOL, maxfev)
+    lockstep = _nelder_mead(f_rows, starts, box.lower, box.upper, maxfev)
     _assert_rows_equal(lockstep, _scipy_rows(objectives, starts, box.lower, box.upper, maxfev))
 
 
@@ -168,7 +175,7 @@ def _staircase_problem():
 
 def test_staircase_rows_equal_scipy():
     f_rows, starts, objectives, box = _staircase_problem()
-    lockstep = _nelder_mead(f_rows, starts, box.lower, box.upper, XATOL, FATOL, 600)
+    lockstep = _nelder_mead(f_rows, starts, box.lower, box.upper, 600)
     _assert_rows_equal(lockstep, _scipy_rows(objectives, starts, box.lower, box.upper, 600))
 
 
@@ -180,7 +187,7 @@ def test_small_budgets_stop_rows_mid_iteration(problem):
         f_rows, starts, objectives, box = _full_problem(_ctxs(problem, 100, 12, seed=3), 4)
     in_expansion = in_shrink = 0
     for maxfev in (7, 13, 29):
-        lockstep = _nelder_mead(f_rows, starts, box.lower, box.upper, XATOL, FATOL, maxfev)
+        lockstep = _nelder_mead(f_rows, starts, box.lower, box.upper, maxfev)
         calls = [[] for _ in starts]
         results = _scipy_rows([_recording(f, c) for f, c in zip(objectives, calls)],
                               starts, box.lower, box.upper, maxfev)
@@ -207,7 +214,7 @@ def test_one_dimensional_rows_equal_scipy(model_id):
     starts = np.array(_start_points(lower, upper, 6, extra=[0.2]) + [upper])
     f_rows = _guarded(_ql_rows(ctxs, lambda bv: ParamVector._wrap(alpha, bv)))
     objectives = [_safe(lambda bv: ql_total(ctxs[0], ParamVector(alpha, bv)))] * len(starts)
-    lockstep = _nelder_mead(f_rows, starts, lower, upper, XATOL, FATOL, 200)
+    lockstep = _nelder_mead(f_rows, starts, lower, upper, 200)
     _assert_rows_equal(lockstep, _scipy_rows(objectives, starts, lower, upper, 200))
 
 
@@ -222,8 +229,8 @@ def test_cir_rows_equal_ql_total_where_pow_and_product_differ():
     assert betas.size > 100
     alpha = np.array([0.5, 0.5])
     row_ctx = np.repeat(np.arange(len(ctxs)), betas.size)
-    f_rows = _ql_rows(ctxs, lambda bv: ParamVector._wrap(alpha, bv), row_ctx)
-    rows = f_rows(np.arange(row_ctx.size), np.tile(betas, len(ctxs))[:, None])
+    f_rows = _ql_rows(ctxs, lambda bv: ParamVector._wrap(alpha, bv))
+    rows = f_rows(row_ctx, np.tile(betas, len(ctxs))[:, None])
     scalar = [ql_total(ctx, ParamVector(alpha, [b])) for ctx in ctxs for b in betas]
     assert np.array_equal(rows, scalar)
 
@@ -368,18 +375,18 @@ def test_fits_equal_scipy_reference(model_id, n):
 
 
 def test_references_run_without_the_box_fit(monkeypatch):
-    # the references share no code with the fits' one box-fit routine or
-    # its lockstep polish, so the comparison above does not check that
-    # routine against itself
+    # the references share no code with the fits' one block search and
+    # polish, its lockstep polish or the judge, so the comparison above does
+    # not check that routine against itself
     def forbidden(*args, **kwargs):
-        raise AssertionError("a reference called estimate._box_fit")
+        raise AssertionError("a reference called the fits' box-fit code")
 
-    for name in ("_box_fit", "_polish", "_lbfgsb", "_judge"):
+    for name in ("_box_fit", "_search_and_polish", "_lbfgsb", "_judge"):
         monkeypatch.setattr(estimate, name, forbidden)
     (ctx,) = _ctxs("ou", 100, 1)
     _reference_mqle(ctx, _CHEAP)
     _reference_adaptive(ctx, _CHEAP)
-    with pytest.raises(AssertionError, match="_box_fit"):
+    with pytest.raises(AssertionError, match="box-fit code"):
         mqle(ctx, _CHEAP)
 
 
@@ -420,6 +427,42 @@ def test_table_search_equals_per_cell_searches(model_id, n, h_grid, reps):
         assert (polished.iterations, polished.restarts) == (ref.iterations, ref.restarts)
 
 
+def _drift_nan_above_four(theta, x):
+    """The OU drift, NaN where a1 > 4."""
+    a1, a2 = theta.alpha[0], theta.alpha[1]
+    return np.where(a1 > 4.0, np.nan, a1 * (a2 - x))
+
+
+@pytest.mark.parametrize("finite", [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
+def test_block_with_ragged_candidate_counts_equals_blocks_of_one(finite):
+    # the paths of one block have 2, 1 and 0 finite starts, so their polish
+    # rows are uneven and one path has none; each path's entry must be that
+    # of its own block of one
+    model = dataclasses.replace(make_model("ou"), drift=_drift_nan_above_four)
+    ctxs = [QLContext(model, ctx.path) for ctx in _ctxs("ou", 100, 3, seed=60)]
+    box = model.box
+    inside = [[1.0, 0.5, 0.3], [2.0, 1.5, 0.2]]
+    # simplices that start above a1 = 4 stay there, every value non-finite
+    outside = [[4.6, 0.5, 0.3], [4.7, 2.0, 0.25], [4.5, 1.0, 0.4]]
+    starts = [np.array(inside[:k] + outside[: 3 - k]) for k in finite]
+    opts = FitOptions(polish_top=2)
+    block = _search_and_polish(ctxs, _split(model.m1), box.lower, box.upper, starts, opts)
+    for k, ctx, path_starts, entry in zip(finite, ctxs, starts, block):
+        (alone,) = _search_and_polish([ctx], _split(model.m1), box.lower, box.upper,
+                                      [path_starts], opts)
+        if k == 0:
+            assert isinstance(entry, EstimationError) and isinstance(alone, EstimationError)
+            assert (str(entry), entry.diagnostics) == (str(alone), alone.diagnostics)
+            assert len(entry.diagnostics) == 3
+            continue
+        assert len(entry.x) == k
+        assert np.array_equal(entry.x, alone.x)
+        assert np.array_equal(entry.fun, alone.fun)
+        assert np.array_equal(entry.start, alone.start)
+        assert (entry.iterations, entry.restarts) == (alone.iterations, alone.restarts)
+        assert np.all(entry.fun < _BIG)
+
+
 # --- the lockstep L-BFGS-B polish against scipy's, one run per row ---
 
 def _polish_rows(model_id, n, paths, seed):
@@ -431,8 +474,7 @@ def _polish_rows(model_id, n, paths, seed):
     """
     ctxs = _ctxs(model_id, n, paths, seed=seed)
     f_rows, starts, _, box = _full_problem(ctxs, 2)
-    searched, _, _ = _nelder_mead(f_rows, starts, box.lower, box.upper, XATOL, FATOL,
-                                  200 * box.dim)
+    searched, _, _ = _nelder_mead(f_rows, starts, box.lower, box.upper, 200 * box.dim)
     plo, phi = _polish_bounds(box.lower, box.upper)
     on_bounds = np.array([plo, phi, np.where([True, False, True], phi, searched[0])])
     path_of = np.repeat(np.arange(paths), 2)
@@ -443,7 +485,7 @@ def _polish_rows(model_id, n, paths, seed):
 
 def _lockstep_and_scipy(model_id, n, paths, seed, maxiter):
     row_path, x0, ctxs, plo, phi = _polish_rows(model_id, n, paths, seed)
-    f_rows = _guarded(_ql_rows(ctxs, _split(ctxs[0].model.m1), row_path))
+    ql_rows = _guarded(_ql_rows(ctxs, _split(ctxs[0].model.m1)))
     objectives = [_safe(objective(ctxs[p])) for p in row_path]
     calls = [[] for _ in row_path]
 
@@ -451,8 +493,9 @@ def _lockstep_and_scipy(model_id, n, paths, seed, maxiter):
         calls[r].append(np.array(v))
         return objectives[r](v)
 
-    lockstep = _lbfgsb(fun, lambda rows, points: _row_gradients(f_rows, rows, points),
-                       x0, plo, phi, maxiter)
+    lockstep = _lbfgsb(
+        fun, lambda rows, points: _row_gradients(ql_rows, row_path[rows], points),
+        x0, plo, phi, maxiter)
     ref_calls = [[] for _ in row_path]
     results = [
         scipy_lbfgsb(_points(f, seen), lambda v, f=f: fd_gradient(f, v), start, plo, phi,
