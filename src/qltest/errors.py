@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all qltest modules."""
+"""Exception hierarchy shared by all qltest modules, and the size check
+that every configuration runs at construction."""
+
+import operator
 
 
 class QltestError(Exception):
@@ -54,3 +57,14 @@ class HarnessError(QltestError):
     def __init__(self, message, failure_counts=None):
         super().__init__(message)
         self.failure_counts = failure_counts or {}
+
+
+def _check_count(name, value, minimum):
+    """Raise ConfigError unless ``value`` is an integer (Python or numpy) of
+    at least ``minimum``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value!r}")

@@ -15,7 +15,9 @@ fits theta whole, as a block of one or as its path's entry of
 the quasi-likelihood fit of the drift-free model, whose terms are the plain
 local-Gaussian contrast), then one alpha-step and one beta-step.  Every
 objective is ql_total; every fit refuses a path of fewer than m1 + m2 + 2
-observations and raises ``DomainError`` where c <= 0.
+observations and raises ``DomainError`` where c <= 0.  The starts are the
+box center, the heuristic start and a scrambled-Sobol fill; scipy's Sobol
+engine (scipy.stats) loads at the first fill that needs it, never at import.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import _lbfgsb as _lbfgsb_mod
-from scipy.stats import qmc
 
-from .errors import EstimationError
+from .errors import EstimationError, _check_count
 from .models import ParamVector
 from .quasilik import (
     _GRADIENT,
@@ -72,11 +73,16 @@ _NEW_X, _FG, _STOP = 1, 3, 5
 class FitOptions:
     """n_starts: the Nelder-Mead starts of ``mqle``; a fit of one parameter
     block (``initial_beta``, each adaptive step) takes half as many, at least 4.
-    polish_top: how many of the best searched starts L-BFGS-B polishes (>= 1).
+    polish_top: how many of the best searched starts L-BFGS-B polishes.
+    Both are integers >= 1, or construction raises ConfigError.
     """
 
     n_starts: int = 8
     polish_top: int = 2
+
+    def __post_init__(self):
+        _check_count("n_starts", self.n_starts, 1)
+        _check_count("polish_top", self.polish_top, 1)
 
 
 @dataclass(frozen=True)
@@ -140,7 +146,14 @@ def _start_points(lower, upper, n_starts, extra=None):
 @functools.cache
 def _sobol_points(d, m):
     """The first 2**m points of the fixed scrambled Sobol sequence in d
-    dimensions, drawn once per (d, m) and kept read-only."""
+    dimensions, drawn once per (d, m) and kept read-only.
+
+    scipy.stats, whose import costs about 0.5 s and 22 MB, loads here, at
+    the first Sobol fill: a fit of at most two starts never draws one, so a
+    power study (two starts a fit) does not load it at all.
+    """
+    from scipy.stats import qmc
+
     pts = qmc.Sobol(d=d, scramble=True, seed=_SOBOL_SEED).random_base2(m)
     pts.flags.writeable = False
     return pts
@@ -442,7 +455,7 @@ def _search_and_polish(ctxs, theta_of, lower, upper, starts, opts: FitOptions):
     order = np.lexsort((fun, path))
     order = order[fun[order] < _BIG]
     rank = np.arange(order.size) - np.searchsorted(path[order], path[order])
-    best = order[rank < max(1, opts.polish_top)]
+    best = order[rank < opts.polish_top]
     # each path's scalar objective; ql_total is looked up at each call, as
     # the benchmark's traced run wraps it to count evaluations
     fs = [_safe(lambda v, ctx=ctx: ql_total(ctx, theta_of(v))) for ctx in ctxs]

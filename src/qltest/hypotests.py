@@ -74,9 +74,13 @@ def _chi2_threshold(kind, level, df) -> float:
     return chi2_quantile(1.0 - level, df)
 
 
-def _finish(kind, stat, df, level, threshold, theta_hat, theta_null, saturated=0):
+def _check_level(level):
     if not 0.0 < level < 1.0:
         raise ConfigError(f"level must lie in (0, 1), got {level!r}")
+
+
+def _finish(kind, stat, df, level, threshold, theta_hat, theta_null, saturated=0):
+    _check_level(level)
     if threshold is not None and not math.isfinite(threshold):
         raise ConfigError(f"threshold must be finite, got {threshold!r}")
     if not math.isfinite(stat):
@@ -288,9 +292,19 @@ def stepwise_alpha(ctx, alpha_tilde, alpha0, beta_tilde, level=0.05, threshold=N
 
 
 def power_approximation(h, info: InfoMatrix, level: float, df: int) -> float:
-    """Local-alternative power: 1 - F_nc(chi2 quantile) at lambda = h'Ih."""
+    """Local-alternative power: 1 - F_nc(chi2 quantile) at lambda = h'Ih.
+
+    Raises ConfigError for a level outside (0, 1), or an h that is not a
+    finite vector of the information's dimension.
+    """
+    _check_level(level)
+    full = info.full()
     h = np.atleast_1d(np.asarray(h, dtype=float))
-    lam = float(h @ info.full() @ h)
+    if h.shape != full.shape[:1]:
+        raise ConfigError(f"h must have length {full.shape[0]}, got shape {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise ConfigError(f"h must be finite, got {h}")
+    lam = float(h @ full @ h)
     if lam < 0.0:
         # numerically indefinite information; clip to the null case
         lam = 0.0

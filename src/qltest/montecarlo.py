@@ -31,15 +31,14 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, EstimationError, HarnessError, QltestError
+from .errors import ConfigError, EstimationError, HarnessError, QltestError, _check_count
 from .estimate import FitOptions, mqle, mqle_search
-from .hypotests import _STATISTICS, _Pieces, _chi2_threshold, _phi_ratios
+from .hypotests import _STATISTICS, _Pieces, _check_level, _chi2_threshold, _phi_ratios
 from .models import ParamBox, ParamVector, make_model
 from .quasilik import QLContext, observed_info, ql_grad, ql_terms
 from .simulate import (
@@ -92,10 +91,10 @@ class ExperimentConfig:
             raise ConfigError("h_grid must contain 0 (the null column)")
         if len(set(self.h_grid)) < len(self.h_grid):
             raise ConfigError(f"h_grid repeats a value: {self.h_grid}")
-        if not 0.0 < self.level < 1.0:
-            raise ConfigError("level must lie in (0, 1)")
-        if self.replications < 50:
-            raise ConfigError("at least 50 replications are required")
+        _check_level(self.level)
+        _check_count("n", self.n, 2)
+        _check_count("refine", self.refine, 1)
+        _check_count("replications", self.replications, 50)
         unknown = set(self.statistics) - _STATISTICS.keys()
         if unknown:
             raise ConfigError(f"unsupported statistics for power tables: {sorted(unknown)}")
@@ -281,6 +280,10 @@ def _collect_table(config: ExperimentConfig, workers: int = 1):
     if workers <= 1:
         rows = _table_block((config, pairs))
     else:
+        # loaded here: concurrent.futures.process pulls in multiprocessing,
+        # which a run with one worker never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         size = -(-len(pairs) // workers)
         tasks = [(config, pairs[i : i + size]) for i in range(0, len(pairs), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, SimulationError, _check_count
 from .models import Model, ParamVector
 
 __all__ = ["SimConfig", "SamplePath", "euler_maruyama", "observation_schedule", "derive_seed_sequence"]
@@ -51,12 +51,10 @@ class SimConfig:
     refine: int = 30
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ConfigError("n must be at least 2")
+        _check_count("n", self.n, 2)
         if not 0 < self.delta < math.inf:
             raise ConfigError("delta must be positive and finite")
-        if self.refine < 1:
-            raise ConfigError("refine must be at least 1")
+        _check_count("refine", self.refine, 1)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qltest import (
+    ConfigError,
     DomainError,
     EstimationError,
     FitOptions,
@@ -54,6 +55,27 @@ def test_reduced_start_budget_agrees_with_full_fit(ou_ctx_1000, ou_fit_1000):
     assert reduced.theta_hat.beta[0] == pytest.approx(
         ou_fit_1000.theta_hat.beta[0], abs=0.02
     )
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("n_starts", 0, "at least 1"),  # was a bare ValueError from unpacking
+    ("n_starts", 2.5, "integer"),  # was a TypeError
+    ("n_starts", "8", "integer"),
+    ("polish_top", 0, "at least 1"),  # was read as 1
+    ("polish_top", -1, "at least 1"),
+    ("polish_top", 1.0, "integer"),
+])
+def test_fit_options_refuse_a_bad_count(field, value, match):
+    with pytest.raises(ConfigError, match=f"{field} must be .*{match}"):
+        FitOptions(**{field: value})
+
+
+def test_fit_options_accept_numpy_integers(ou_ctx_1000):
+    opts = FitOptions(n_starts=np.int64(2), polish_top=np.int32(1))
+    fit = mqle(ou_ctx_1000, opts)
+    cheap = mqle(ou_ctx_1000, FitOptions(n_starts=2, polish_top=1))
+    np.testing.assert_array_equal(fit.theta_hat.full, cheap.theta_hat.full)
+    assert dataclasses.replace(fit, theta_hat=None) == dataclasses.replace(cheap, theta_hat=None)
 
 
 def test_mqle_rejects_too_short_path(ou_model):

@@ -235,6 +235,21 @@ def test_power_approximation_monotone_and_saturating():
     assert p[3] > 0.99  # noncentrality 37
 
 
+@pytest.mark.parametrize("h, level, match", [
+    (np.ones(3), 0.0, "level"),
+    (np.ones(3), 1.5, "level"),  # was a bare ValueError from chi2_quantile
+    (np.ones(3), math.nan, "level"),
+    (np.ones(2), 0.05, "length 3"),  # was numpy's matmul error
+    (1.0, 0.05, "length 3"),
+    (np.ones((3, 1)), 0.05, "length 3"),
+    (np.array([1.0, math.nan, 1.0]), 0.05, "finite"),  # was NaN
+    (np.array([1.0, math.inf, 1.0]), 0.05, "finite"),
+])
+def test_power_approximation_checks_its_inputs(h, level, match):
+    with pytest.raises(ConfigError, match=match):
+        power_approximation(h, _ou_info(), level, 3)
+
+
 def test_report_csv_round_trip(ou_ctx_1000, theta0_ou, theta_hat):
     header = report_csv_header()
     assert header.split(",") == [

@@ -105,6 +105,21 @@ def test_config_validation(theta0_ou):
         ExperimentConfig(h_grid=(0.0,), **dict(kw, model_id="gbm"))
     with pytest.raises(ConfigError, match="outside the parameter box"):
         ExperimentConfig(h_grid=(0.0,), **dict(kw, theta0=ParamVector([9.0, 0.5], [0.25])))
+    # sizes are integers of at least their minimum; a float replication
+    # count used to reach a TypeError from range
+    for field, value, match in [
+        ("replications", 50.5, "replications must be an integer"),
+        ("replications", 49, "replications must be at least 50"),
+        ("n", 50.5, "n must be an integer"),
+        ("n", 1, "n must be at least 2"),
+        ("refine", 2.5, "refine must be an integer"),
+        ("refine", 0, "refine must be at least 1"),
+    ]:
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig(h_grid=(0.0,), **dict(kw, **{field: value}))
+    # numpy integers are integers
+    ExperimentConfig(h_grid=(0.0,), **dict(kw, n=np.int64(50), replications=np.int32(50),
+                                           refine=np.int64(30)))
 
 
 def test_config_delta_schedule(theta0_ou):

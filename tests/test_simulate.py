@@ -34,6 +34,18 @@ def test_sim_config_validation():
         SimConfig(n=10, delta=0.0, x0=1.0, seed=1)
     with pytest.raises(ConfigError):
         SimConfig(n=10, delta=0.01, x0=1.0, seed=1, refine=0)
+    # a float n used to reach numpy's "expected a sequence of integers"
+    for field, value in [("n", 20.5), ("n", 20.0), ("n", "20"), ("refine", 2.5),
+                         ("refine", None)]:
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            SimConfig(**dict(dict(n=20, delta=0.01, x0=1.0, seed=1), **{field: value}))
+
+
+def test_sim_config_accepts_numpy_integer_sizes(ou_model, theta0_ou):
+    numpy_sized = SimConfig(n=np.int64(20), delta=0.01, x0=1.0, seed=1, refine=np.int32(5))
+    plain = SimConfig(n=20, delta=0.01, x0=1.0, seed=1, refine=5)
+    np.testing.assert_array_equal(euler_maruyama(ou_model, theta0_ou, numpy_sized).values,
+                                  euler_maruyama(ou_model, theta0_ou, plain).values)
 
 
 @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
