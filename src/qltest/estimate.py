@@ -8,8 +8,9 @@ the steps of scipy's per-start ``minimize(method="Nelder-Mead")``.  Then the
 best searched starts of every path are polished by L-BFGS-B in lockstep
 (``_lbfgsb``), each taking exactly the steps of scipy's per-candidate
 ``minimize(method="L-BFGS-B")`` on the scalar ql_total, the finite-difference
-gradients of a round one row call.  Last, each path's fit is judged on its
-own: the best candidate, its boundary flag and its gradient test.  ``mqle``
+gradients of a round one row call.  Last, each path's fit is its best
+polished candidate, with its boundary flag and its gradient test, both read
+from what the polish ended on: its point and its final FD gradient.  ``mqle``
 fits theta whole, as a block of one or as its path's entry of
 ``mqle_search``; ``adaptive_estimate`` fits beta alone (``initial_beta``,
 the quasi-likelihood fit of the drift-free model, whose terms are the plain
@@ -25,23 +26,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import _lbfgsb as _lbfgsb_mod
 
 from .errors import EstimationError, _check_count
 from .models import ParamVector
-from .quasilik import (
-    _GRADIENT,
-    QLContext,
-    _central_difference,
-    _drift_free,
-    _ql_rows,
-    _row_gradients,
-    _split,
-    ql_total,
-)
+from .quasilik import QLContext, _drift_free, _ql_rows, _row_gradients, _split, ql_total
 
 __all__ = ["FitOptions", "FitResult", "mqle", "initial_beta", "adaptive_estimate"]
 
@@ -56,8 +47,8 @@ _NONZDELT, _ZDELT = 0.05, 0.00025
 _NM_XATOL, _NM_FATOL = 1e-4, 1e-8
 
 # L-BFGS-B polish: iteration cap, relative objective tolerance and
-# projected-gradient tolerance; a fit converged when its largest FD gradient
-# entry is <= _GRAD_TOL * (1 + |f|)
+# projected-gradient tolerance; a fit converged when the largest entry of
+# the polish's final FD gradient is <= _GRAD_TOL * (1 + |f|)
 _POLISH_MAXITER = 500
 _OBJ_REL_TOL = 1e-10
 _PGTOL = 1e-9
@@ -89,9 +80,10 @@ class FitOptions:
 class FitResult:
     """theta_hat: the estimate, in the box; objective: ql_total there (of
     the drift-free model for ``initial_beta``, which is U_n).
-    converged: the largest central-difference gradient entry at theta_hat is
-    at most 1e-6 * (1 + |objective|), and theta_hat is not at the boundary.
-    L-BFGS-B often stops first, on its 1e-10 relative objective tolerance.
+    converged: the largest entry of the polish's final central-difference
+    gradient, taken at theta_hat, is at most 1e-6 * (1 + |objective|), and
+    theta_hat is not at the boundary.  L-BFGS-B often stops first, on its
+    1e-10 relative objective tolerance.
     iterations: the Nelder-Mead iterations of every start plus the L-BFGS-B
     iterations of every polished one; restarts_used: the number of starts.
     at_boundary: theta_hat is on the polish's bounds, which are inset from
@@ -304,8 +296,9 @@ def _lbfgsb(fun, grad, x0, lower, upper, maxiter=_POLISH_MAXITER):
     scalar objective; ``grad(rows, points)`` returns the (k, d) gradients of
     the listed rows, one call per round for every row that asked for one.
 
-    Returns (x, fun, nit), one entry per row; fun is the last value handed
-    to ``setulb``, which is what scipy reports.
+    Returns (x, fun, nit, jac), one entry per row; fun and jac are the last
+    value and gradient handed to ``setulb``, which is what scipy reports:
+    the objective and gradient at x, also for a row stopped by a budget.
     """
     n_rows, dim = x0.shape
     m = _LBFGSB_M
@@ -358,23 +351,7 @@ def _lbfgsb(fun, grad, x0, lower, upper, maxiter=_POLISH_MAXITER):
             f[r] = f_seen[r]
             g[r] = g_seen[r]
         live = kept
-    return x, np.array(f), nit
-
-
-class _Polished(NamedTuple):
-    """One path's polished candidates, best searched start first.
-
-    x, fun: each candidate's polished point and objective; start: the index
-    of the start it was searched from.  iterations: the search iterations of
-    every start plus the polish iterations of every candidate; restarts: the
-    number of starts.
-    """
-
-    x: np.ndarray
-    fun: np.ndarray
-    start: np.ndarray
-    iterations: int
-    restarts: int
+    return x, np.array(f), nit, g
 
 
 def _polish_bounds(lower, upper):
@@ -382,30 +359,6 @@ def _polish_bounds(lower, upper):
     every polished point lies in it."""
     inset = 3e-5 * np.maximum(1.0, np.maximum(np.abs(lower), np.abs(upper)))
     return lower + inset, upper - inset
-
-
-def _judge(ctx: QLContext, theta_of, lower, upper, polished) -> FitResult:
-    """The fit of the path of ctx from its entry of ``_search_and_polish``.
-
-    Raises the path's ``EstimationError`` if it has one.  Otherwise the fit
-    is the best polished candidate, ties to the earlier start; it is at the
-    boundary on the polish's bounds, and converged if off them and its
-    largest FD gradient entry is at most _GRAD_TOL * (1 + |objective|).
-    """
-    if isinstance(polished, EstimationError):
-        raise polished
-    best = min(range(len(polished.fun)), key=lambda i: (polished.fun[i], polished.start[i]))
-    x, fun = polished.x[best], float(polished.fun[best])
-    plo, phi = _polish_bounds(lower, upper)
-    at_boundary = bool(np.any(x <= plo + 1e-12) or np.any(x >= phi - 1e-12))
-    converged = False
-    if not at_boundary:
-        # off the inset bounds, x is over three FD steps inside the box
-        f_rows = _guarded(_ql_rows([ctx], theta_of))
-        g = _central_difference(_GRADIENT, f_rows, x, lower, upper)
-        converged = bool(np.max(np.abs(g)) <= _GRAD_TOL * (1.0 + abs(fun)))
-    return FitResult(theta_of(np.clip(x, lower, upper)), fun, converged,
-                     polished.iterations, polished.restarts, at_boundary)
 
 
 def _heuristic_start(ctx: QLContext):
@@ -443,8 +396,12 @@ def _search_and_polish(ctxs, theta_of, lower, upper, starts, opts: FitOptions):
     polish's bounds, for every path of a block at once.
 
     The objective is ql_total at theta = theta_of(v); the contexts share one
-    model and one observation step.  Returns, for each path, its
-    ``_Polished``, or the ``EstimationError`` of a path whose starts all failed.
+    model and one observation step.  Returns, for each path, its fit, or
+    the ``EstimationError`` of a path whose starts all failed.  The fit is
+    the path's best polished candidate, ties to the earlier start, with
+    theta_hat = theta_of(clip(x)); it is at the boundary on the polish's
+    bounds, and converged if off them and the largest entry of the polish's
+    final FD gradient is at most _GRAD_TOL * (1 + |objective|).
     """
     f_rows = _guarded(_ql_rows(ctxs, theta_of))
     counts = [len(s) for s in starts]
@@ -461,19 +418,25 @@ def _search_and_polish(ctxs, theta_of, lower, upper, starts, opts: FitOptions):
     fs = [_safe(lambda v, ctx=ctx: ql_total(ctx, theta_of(v))) for ctx in ctxs]
     owner = path[best]  # the path of each polish row
     plo, phi = _polish_bounds(lower, upper)
-    xp, fp, nitp = _lbfgsb(
+    xp, fp, nitp, gp = _lbfgsb(
         lambda r, v: fs[owner[r]](v),
         lambda rows, points: _row_gradients(f_rows, owner[rows], points),
         x[best], plo, phi)
 
-    # per path: the search and polish iterations, and its rows of the polish
+    at_boundary = np.any((xp <= plo + 1e-12) | (xp >= phi - 1e-12), axis=1)
+    converged = ~at_boundary & (np.abs(gp).max(axis=1) <= _GRAD_TOL * (1.0 + np.abs(fp)))
+    # each path's fit: its best polish row, ties to the earlier start
+    order = np.lexsort((best, fp, owner))
+    fitted, first = np.unique(owner[order], return_index=True)
+    fit_row = np.full(len(ctxs), -1)
+    fit_row[fitted] = order[first]
     iterations = np.bincount(path, nit, len(ctxs)) + np.bincount(owner, nitp, len(ctxs))
-    first = np.cumsum(counts) - counts  # the search row of each path's start 0
-    cuts = np.searchsorted(owner, np.arange(1, len(ctxs)))
     out = []
-    for p, picked, xs, funs in zip(range(len(ctxs)), *(np.split(a, cuts) for a in (best, xp, fp))):
-        if picked.size:
-            out.append(_Polished(xs, funs, picked - first[p], int(iterations[p]), counts[p]))
+    for p, r in enumerate(fit_row):
+        if r >= 0:
+            out.append(FitResult(theta_of(np.clip(xp[r], lower, upper)), float(fp[r]),
+                                 bool(converged[r]), int(iterations[p]), counts[p],
+                                 bool(at_boundary[r])))
         else:
             out.append(EstimationError("all optimizer starts failed", diagnostics=[
                 f"start {idx}: non-finite objective" for idx in range(counts[p])]))
@@ -486,21 +449,28 @@ def _check_length(ctx: QLContext):
         raise EstimationError("path too short for the number of parameters")
 
 
+def _fit_of(entry) -> FitResult:
+    """A path's entry of ``_search_and_polish``: its fit, or its error raised."""
+    if isinstance(entry, EstimationError):
+        raise entry
+    return entry
+
+
 def _box_fit(ctx: QLContext, theta_of, lower, upper, starts, opts: FitOptions) -> FitResult:
     """Fit v over [lower, upper] on the path of ctx, with theta = theta_of(v):
-    the search from ``starts``, the polish and the judge, a block of one path.
+    the search from ``starts`` and the polish, a block of one path.
     """
     _check_length(ctx)
-    (polished,) = _search_and_polish([ctx], theta_of, lower, upper, [starts], opts)
-    return _judge(ctx, theta_of, lower, upper, polished)
+    return _fit_of(_search_and_polish([ctx], theta_of, lower, upper, [starts], opts)[0])
 
 
 def mqle_search(ctxs, opts: FitOptions = FitOptions()):
-    """The search and the polish of ``mqle`` on a block of paths at once.
+    """The fits of ``mqle`` on a block of paths at once.
 
     The contexts share one model and one observation step.  Returns, for
-    each context, what ``mqle(ctx, opts, polished=...)`` judges: the
-    polished candidates, or that path's ``EstimationError``.
+    each context, its fit, the same as ``mqle(ctx, opts)`` (the gradient
+    test reads the polish's final FD gradient), or that path's
+    ``EstimationError``.
     """
     box = ctxs[0].model.box
     starts = [_start_points(box.lower, box.upper, opts.n_starts, extra=_heuristic_start(ctx))
@@ -512,15 +482,15 @@ def mqle_search(ctxs, opts: FitOptions = FitOptions()):
 def mqle(ctx: QLContext, opts: FitOptions = FitOptions(), *, polished=None) -> FitResult:
     """Minimize ql_total over the box; deterministic multi-start search.
 
-    The fit of a block of one: ``mqle_search([ctx], opts)``, then the judge.
-    ``polished`` is this path's entry of ``mqle_search``, when the search
-    and the polish already ran with other paths; the fit is the same.
+    The fit of a block of one, ``mqle_search([ctx], opts)``: the best
+    polished candidate, converged if off the polish's bounds and its final
+    FD gradient passes the test of ``FitResult.converged``.  ``polished`` is
+    this path's entry of ``mqle_search``, when the search and the polish
+    already ran with other paths; the fit is the same, and an error entry
+    is raised.
     """
     _check_length(ctx)
-    if polished is None:
-        (polished,) = mqle_search([ctx], opts)
-    box = ctx.model.box
-    return _judge(ctx, _split(ctx.model.m1), box.lower, box.upper, polished)
+    return _fit_of(mqle_search([ctx], opts)[0] if polished is None else polished)
 
 
 def initial_beta(ctx: QLContext, opts: FitOptions = FitOptions()) -> FitResult:

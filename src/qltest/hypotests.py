@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .distributions import chi2_cdf, chi2_quantile, noncentral_chi2_cdf
-from .errors import ConfigError, RaoUndefinedError, StatisticError
+from .errors import ConfigError, RaoUndefinedError, StatisticError, _check_count
 from .models import ParamVector
 from .quasilik import InfoMatrix, QLContext, _drift_free, observed_info, ql_grad, ql_terms
 
@@ -294,11 +294,15 @@ def stepwise_alpha(ctx, alpha_tilde, alpha0, beta_tilde, level=0.05, threshold=N
 def power_approximation(h, info: InfoMatrix, level: float, df: int) -> float:
     """Local-alternative power: 1 - F_nc(chi2 quantile) at lambda = h'Ih.
 
-    Raises ConfigError for a level outside (0, 1), or an h that is not a
-    finite vector of the information's dimension.
+    Raises ConfigError for a level outside (0, 1), an h that is not a
+    finite vector of the information's dimension, or a df that is not that
+    dimension.
     """
     _check_level(level)
     full = info.full()
+    _check_count("df", df, 1)
+    if df != full.shape[0]:
+        raise ConfigError(f"df must be the information's dimension {full.shape[0]}, got {df!r}")
     h = np.atleast_1d(np.asarray(h, dtype=float))
     if h.shape != full.shape[:1]:
         raise ConfigError(f"h must have length {full.shape[0]}, got shape {h.shape}")

@@ -8,10 +8,11 @@ derived from (master_seed, replication index) only — independent of the
 statistic kind and of h — so results are identical for any worker count
 and the h columns are common-random-number coupled.  A table runs as one
 block over its (h cell, replication) pairs: the paths of the block are
-simulated as one batch, each at its cell's alternative, and the
-Nelder-Mead search and L-BFGS-B polish of all their fits run in lockstep
-(``mqle_search``), which gives the same paths and fits as one simulation
-and one fit per replication.  With workers, each takes one contiguous run
+simulated as one batch, each at its cell's alternative, and all their fits
+are one lockstep Nelder-Mead search and L-BFGS-B polish (``mqle_search``),
+which gives the same paths and fits as one simulation and one fit per
+replication.  A path whose fit fails (``EstimationError``) falls back to
+the full multi-start ``mqle``.  With workers, each takes one contiguous run
 of pairs.
 
 An h cell is one (R, len(statistics)) float matrix, rows in replication
@@ -230,8 +231,8 @@ def _table_block(args):
     """The rows of the (h_index, rep) pairs ``pairs`` of the table, in order.
 
     Their paths are simulated as one batch, each at its cell's alternative,
-    the search and polish of all their fits run in lockstep, and then each
-    path's fit is judged and every kind evaluated on it.  Seeds
+    the search and polish of all their fits run in lockstep, and then every
+    kind is evaluated on each path's fit.  Seeds
     depend only on (master_seed, rep): the h cells are coupled by common
     random numbers, as are all statistic kinds.  A path that failed every
     simulation attempt leaves its row NaN.
@@ -249,20 +250,24 @@ def _table_block(args):
     rows = np.full((len(pairs), len(config.statistics)), np.nan)
     simulated = [i for i, path in enumerate(paths) if isinstance(path, SamplePath)]
     ctxs = [QLContext(model, paths[i]) for i in simulated]
-    polished = mqle_search(ctxs, _MC_FIT_OPTS) if ctxs else []
-    for i, ctx, entry in zip(simulated, ctxs, polished):
+    fits = mqle_search(ctxs, _MC_FIT_OPTS) if ctxs else []
+    for i, ctx, entry in zip(simulated, ctxs, fits):
         rows[i] = _fit_and_evaluate(config, ctx, entry)
     return rows
 
 
-def _fit_and_evaluate(config: ExperimentConfig, ctx, polished):
-    """The row of one replication; NaN throughout when no fit succeeds."""
+def _fit_and_evaluate(config: ExperimentConfig, ctx, entry):
+    """The row of one replication; NaN throughout when no fit succeeds.
+
+    Only ``EstimationError`` is a failed fit: no fit raises ``ConfigError``
+    on a simulated path, so one raised here is a bug and propagates.
+    """
     try:
         try:
-            fit = mqle(ctx, _MC_FIT_OPTS, polished=polished)
+            fit = mqle(ctx, _MC_FIT_OPTS, polished=entry)
         except EstimationError:
             fit = mqle(ctx)  # full multi-start fallback
-    except (EstimationError, ConfigError):
+    except EstimationError:
         return math.nan
     return _statistic_values(ctx, fit, config.theta0, config.statistics)
 

@@ -235,19 +235,30 @@ def test_power_approximation_monotone_and_saturating():
     assert p[3] > 0.99  # noncentrality 37
 
 
-@pytest.mark.parametrize("h, level, match", [
-    (np.ones(3), 0.0, "level"),
-    (np.ones(3), 1.5, "level"),  # was a bare ValueError from chi2_quantile
-    (np.ones(3), math.nan, "level"),
-    (np.ones(2), 0.05, "length 3"),  # was numpy's matmul error
-    (1.0, 0.05, "length 3"),
-    (np.ones((3, 1)), 0.05, "length 3"),
-    (np.array([1.0, math.nan, 1.0]), 0.05, "finite"),  # was NaN
-    (np.array([1.0, math.inf, 1.0]), 0.05, "finite"),
+# the cases of df = 3 keep the ids they had before df was varied
+@pytest.mark.parametrize("h, level, df, match", [
+    pytest.param(np.ones(3), 0.0, 3, "level", id="h0-0.0-level"),
+    # was a bare ValueError from chi2_quantile
+    pytest.param(np.ones(3), 1.5, 3, "level", id="h1-1.5-level"),
+    pytest.param(np.ones(3), math.nan, 3, "level", id="h2-nan-level"),
+    # was numpy's matmul error
+    pytest.param(np.ones(2), 0.05, 3, "length 3", id="h3-0.05-length 3"),
+    pytest.param(1.0, 0.05, 3, "length 3", id="1.0-0.05-length 3"),
+    pytest.param(np.ones((3, 1)), 0.05, 3, "length 3", id="h5-0.05-length 3"),
+    # was NaN
+    pytest.param(np.array([1.0, math.nan, 1.0]), 0.05, 3, "finite", id="h6-0.05-finite"),
+    pytest.param(np.array([1.0, math.inf, 1.0]), 0.05, 3, "finite", id="h7-0.05-finite"),
+    # was a power of 0.32, on 2 df
+    pytest.param(np.ones(3), 0.05, 2, "dimension 3", id="df2"),
+    pytest.param(np.ones(3), 0.05, 4, "dimension 3", id="df4"),
+    # each was a bare ValueError from distributions._check_df
+    pytest.param(np.ones(3), 0.05, 0, "at least 1", id="df0"),
+    pytest.param(np.ones(3), 0.05, 2.5, "integer", id="df2.5"),
+    pytest.param(np.ones(3), 0.05, 3.0, "integer", id="df3.0"),
 ])
-def test_power_approximation_checks_its_inputs(h, level, match):
+def test_power_approximation_checks_its_inputs(h, level, df, match):
     with pytest.raises(ConfigError, match=match):
-        power_approximation(h, _ou_info(), level, 3)
+        power_approximation(h, _ou_info(), level, df)
 
 
 def test_report_csv_round_trip(ou_ctx_1000, theta0_ou, theta_hat):

@@ -83,12 +83,16 @@ def _scipy_rows(objectives, starts, lower, upper, maxfev):
 
 
 def _assert_rows_equal(lockstep, results):
-    x, fun, nit = lockstep
+    """Row r of a lockstep run equals scipy's run r: x, fun, nit and, for
+    the polish, the final gradient that scipy reports as ``jac``."""
+    x, fun, nit, *jac = lockstep
     assert x.shape[0] == len(results)
     for r, res in enumerate(results):
         assert np.array_equal(x[r], res.x), r
         assert np.array_equal(fun[r], res.fun), r
         assert nit[r] == res.nit, r
+        if jac:
+            assert np.array_equal(jac[0][r], res.jac), r
 
 
 def _full_problem(ctxs, starts_per_path, extra_starts=()):
@@ -251,8 +255,8 @@ def test_fits_never_call_scipy_minimize(monkeypatch):
     mqle(ctxs[0])
     initial_beta(ctxs[0])
     adaptive_estimate(ctxs[0])
-    for ctx, polished in zip(ctxs, mqle_search(ctxs, _CHEAP)):
-        mqle(ctx, _CHEAP, polished=polished)
+    for ctx, entry in zip(ctxs, mqle_search(ctxs, _CHEAP)):
+        mqle(ctx, _CHEAP, polished=entry)
 
 
 def test_fits_never_call_scipy_nelder_mead(monkeypatch):
@@ -376,12 +380,12 @@ def test_fits_equal_scipy_reference(model_id, n):
 
 def test_references_run_without_the_box_fit(monkeypatch):
     # the references share no code with the fits' one block search and
-    # polish, its lockstep polish or the judge, so the comparison above does
-    # not check that routine against itself
+    # polish or its lockstep polish, so the comparison above does not check
+    # that routine against itself
     def forbidden(*args, **kwargs):
         raise AssertionError("a reference called the fits' box-fit code")
 
-    for name in ("_box_fit", "_search_and_polish", "_lbfgsb", "_judge"):
+    for name in ("_box_fit", "_search_and_polish", "_lbfgsb"):
         monkeypatch.setattr(estimate, name, forbidden)
     (ctx,) = _ctxs("ou", 100, 1)
     _reference_mqle(ctx, _CHEAP)
@@ -392,13 +396,12 @@ def test_references_run_without_the_box_fit(monkeypatch):
 
 @pytest.mark.parametrize("model_id", ["ou", "cir"])
 def test_block_search_equals_single_fits(model_id):
-    # the harness searches and polishes a block of paths at once, then
-    # judges each path
+    # the harness fits a block of paths at once: one search and one polish
     ctxs = _ctxs(model_id, 100, 7, seed=90)
-    for ctx, polished in zip(ctxs, mqle_search(ctxs, _CHEAP)):
-        _assert_fits_equal(mqle(ctx, _CHEAP, polished=polished), mqle(ctx, _CHEAP))
-    for ctx, polished in zip(ctxs, mqle_search(ctxs)):
-        _assert_fits_equal(mqle(ctx, polished=polished), _reference_mqle(ctx))
+    for ctx, entry in zip(ctxs, mqle_search(ctxs, _CHEAP)):
+        _assert_fits_equal(mqle(ctx, _CHEAP, polished=entry), mqle(ctx, _CHEAP))
+    for ctx, entry in zip(ctxs, mqle_search(ctxs)):
+        _assert_fits_equal(mqle(ctx, polished=entry), _reference_mqle(ctx))
 
 
 
@@ -418,13 +421,10 @@ def test_table_search_equals_per_cell_searches(model_id, n, h_grid, reps):
                                range(100, 100 + reps))
         cells.append([QLContext(model, path) for path in paths])
     table = mqle_search([ctx for cell in cells for ctx in cell], _CHEAP)
-    per_cell = [polished for cell in cells for polished in mqle_search(cell, _CHEAP)]
+    per_cell = [fit for cell in cells for fit in mqle_search(cell, _CHEAP)]
     assert len(table) == len(per_cell) == len(h_grid) * reps
-    for polished, ref in zip(table, per_cell):
-        assert np.array_equal(polished.x, ref.x)
-        assert np.array_equal(polished.fun, ref.fun)
-        assert np.array_equal(polished.start, ref.start)
-        assert (polished.iterations, polished.restarts) == (ref.iterations, ref.restarts)
+    for fit, ref in zip(table, per_cell):
+        _assert_fits_equal(fit, ref)
 
 
 def _drift_nan_above_four(theta, x):
@@ -436,8 +436,8 @@ def _drift_nan_above_four(theta, x):
 @pytest.mark.parametrize("finite", [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
 def test_block_with_ragged_candidate_counts_equals_blocks_of_one(finite):
     # the paths of one block have 2, 1 and 0 finite starts, so their polish
-    # rows are uneven and one path has none; each path's entry must be that
-    # of its own block of one
+    # rows are uneven and one path has none; each path's entry, its fit or
+    # its error, must be that of its own block of one
     model = dataclasses.replace(make_model("ou"), drift=_drift_nan_above_four)
     ctxs = [QLContext(model, ctx.path) for ctx in _ctxs("ou", 100, 3, seed=60)]
     box = model.box
@@ -455,12 +455,8 @@ def test_block_with_ragged_candidate_counts_equals_blocks_of_one(finite):
             assert (str(entry), entry.diagnostics) == (str(alone), alone.diagnostics)
             assert len(entry.diagnostics) == 3
             continue
-        assert len(entry.x) == k
-        assert np.array_equal(entry.x, alone.x)
-        assert np.array_equal(entry.fun, alone.fun)
-        assert np.array_equal(entry.start, alone.start)
-        assert (entry.iterations, entry.restarts) == (alone.iterations, alone.restarts)
-        assert np.all(entry.fun < _BIG)
+        _assert_fits_equal(entry, alone)
+        assert entry.objective < _BIG
 
 
 # --- the lockstep L-BFGS-B polish against scipy's, one run per row ---

@@ -222,6 +222,21 @@ def test_bug_in_a_statistic_propagates(theta0_ou, monkeypatch):
         empirical_power(config)
 
 
+def test_config_error_in_a_fit_propagates(theta0_ou, monkeypatch, tmp_path):
+    # no fit raises ConfigError on a simulated path, so one raised there is
+    # a bug, not a failed replication: it must not become a NaN row
+    def broken(*args, **kwargs):
+        raise ConfigError("broken fit options")
+
+    monkeypatch.setattr(montecarlo, "mqle", broken)
+    config = ExperimentConfig(
+        model_id="ou", theta0=theta0_ou, n=50, h_grid=(0.0,),
+        replications=50, master_seed=7, statistics=("T",),
+    )
+    with pytest.raises(ConfigError, match="broken fit options"):
+        run_table(config, tmp_path / "table.csv")
+
+
 @pytest.fixture(scope="module")
 def golden_config():
     """The study of the golden table: OU n = 100, h {0, 1}, R = 50, all six kinds."""
