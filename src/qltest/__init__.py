@@ -32,6 +32,7 @@ from .models import (
     Model,
     ParamBox,
     ParamVector,
+    PathSums,
     correction_d1,
     correction_e1,
     default_box,

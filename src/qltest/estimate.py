@@ -4,7 +4,9 @@ Every fit is of a flat vector v over a box, theta being theta_of(v), and
 fits a block of paths at once (``_search_and_polish``), in three stages.
 First a bounded Nelder-Mead search runs from several deterministic starts of
 every path as rows of one lockstep search that takes, row for row, exactly
-the steps of scipy's per-start ``minimize(method="Nelder-Mead")``.  Then the
+the steps of scipy's per-start ``minimize(method="Nelder-Mead")``; a large
+full fit of OU or CIR paths searches on the model's path sums, certified
+against ql_total, which gives the same search bit for bit.  Then the
 best searched starts of every path are polished by L-BFGS-B in lockstep
 (``_lbfgsb``), each taking exactly the steps of scipy's per-candidate
 ``minimize(method="L-BFGS-B")`` on the scalar ql_total, the finite-difference
@@ -32,7 +34,9 @@ from scipy.optimize import _lbfgsb as _lbfgsb_mod
 
 from .errors import EstimationError, _check_count
 from .models import ParamVector
-from .quasilik import QLContext, _drift_free, _ql_rows, _row_gradients, _split, ql_total
+from .quasilik import (
+    QLContext, _drift_free, _ql_rows, _row_gradients, _split, _sums_rows, ql_total,
+)
 
 __all__ = ["FitOptions", "FitResult", "mqle", "initial_beta", "adaptive_estimate"]
 
@@ -45,6 +49,11 @@ _NONZDELT, _ZDELT = 0.05, 0.00025
 
 # Nelder-Mead tolerances on x and f
 _NM_XATOL, _NM_FATOL = 1e-4, 1e-8
+
+# a full-theta search of fewer search rows times observations than this
+# runs on ql_total alone: below it the certified search's bookkeeping costs
+# more than the path sums save
+_SUMS_MIN_VALUES = 50_000
 
 # L-BFGS-B polish: iteration cap, relative objective tolerance and
 # projected-gradient tolerance; a fit converged when the largest entry of
@@ -151,6 +160,22 @@ def _sobol_points(d, m):
     return pts
 
 
+def _certified(approx):
+    """The path-sum evaluator ``approx`` as the certified search reads it:
+    a value or a bound that is not finite reads as _BIG with an infinite
+    bound, which every test settles on the exact objective."""
+
+    def f(rows, points):
+        with np.errstate(all="ignore"):
+            values, bounds = approx(rows, points)
+        bad = ~(np.isfinite(values) & np.isfinite(bounds))
+        values[bad] = _BIG
+        bounds[bad] = np.inf
+        return values, bounds
+
+    return f
+
+
 def _guarded(f_rows):
     """The row evaluator ``f_rows`` as the search and the polish read it.
 
@@ -168,7 +193,7 @@ def _guarded(f_rows):
     return f
 
 
-def _nelder_mead(f_rows, x0, lower, upper, maxfev):
+def _nelder_mead(f_rows, x0, lower, upper, maxfev, approx=None):
     """Bounded Nelder-Mead from every row of ``x0`` (shape (R, d)) in lockstep.
 
     Row r takes exactly the steps of scipy 1.17's ``minimize(f, x0[r],
@@ -180,9 +205,24 @@ def _nelder_mead(f_rows, x0, lower, upper, maxfev):
     the objective of each listed row at its point; each phase of an
     iteration evaluates every row that needs it in one call.
 
+    ``approx``, optional, is a cheaper evaluator of the same objective:
+    ``approx(rows, points)`` returns (values, bounds), each value within its
+    bound of ``f_rows``'s.  Each decision (the reflect, expand and contract
+    tests, the f test of convergence and the vertex sort) is then made on
+    the approximate values where their intervals, bounds doubled, separate;
+    elsewhere the values involved are replaced by those of ``f_rows``, in
+    one call per phase that the budget does not count, and kept.  Doubling
+    covers the rounding of the tests: fl(b - a) > fl(2 E_a + 2 E_b) gives
+    b - a > E_a + E_b, so the exact values compare as the approximate ones
+    do, and the f test, ``max |f_0 - f_k| <= fatol``, is decided only with
+    a relative margin of 2^-40 on fatol.  So every decision, x, nit and the
+    budget are those of the search on ``f_rows`` alone, bit for bit, and
+    fun is a value of ``f_rows``.
+
     Returns (x, fun, nit), one entry per row.
     """
     n_rows, dim = x0.shape
+    certified = approx is not None
 
     def clip(points):  # the values of np.clip, at a fraction of its call cost
         return np.minimum(np.maximum(points, lower), upper)
@@ -195,35 +235,80 @@ def _nelder_mead(f_rows, x0, lower, upper, maxfev):
     # a vertex above the upper bound is reflected into the box, then clipped
     sim = clip(np.where(sim > upper, 2 * upper - sim, sim))
     fsim = np.full((n_rows, dim + 1), np.inf)
+    # each value's doubled bound, 0 where it is a value of f_rows
+    esim = np.zeros((n_rows, dim + 1)) if certified else None
     fcalls = np.zeros(n_rows, dtype=int)
     nit = np.ones(n_rows, dtype=int)
     converged = np.zeros(n_rows, dtype=bool)
 
     def call(rows, points):
         fcalls[rows] += 1
-        return f_rows(rows, points)
+        if not certified:
+            return f_rows(rows, points), None
+        values, bounds = approx(rows, points)
+        return values, 2.0 * bounds
 
-    def sort(s, fs):
+    def settle(*targets):
+        """Replace the approximate values among ``targets`` by those of
+        f_rows.  A target (f, e, x, rows, idx) lists the values f[idx] with
+        bounds e[idx] at the points x[idx] of the search rows rows[idx]."""
+        picked = [(f, e, x, rows, idx[e[idx] > 0]) for f, e, x, rows, idx in targets]
+        which = np.concatenate([rows[idx] for *_, rows, idx in picked])
+        if not which.size:
+            return False
+        values = f_rows(which, np.concatenate([x[idx] for _, _, x, _, idx in picked]))
+        at = 0
+        for f, e, _, _, idx in picked:
+            f[idx] = values[at : at + idx.size]
+            e[idx] = 0.0
+            at += idx.size
+        return True
+
+    def settle_simplices(s, fs, es, rows, idx):
+        return settle(*[(fs[:, k], es[:, k], s[:, k], rows, idx) for k in range(dim + 1)])
+
+    def unsure(a, ea, b, eb):
+        """Where the intervals of a and b overlap: their order is unknown."""
+        gap = ea + eb
+        return ~((b - a > gap) | (a - b > gap))
+
+    def sort(s, fs, es, rows):
         order = np.argsort(fs, axis=1)
         r = np.arange(fs.shape[0])[:, None]
-        return s[r, order], fs[r, order]
+        if certified:
+            f, e = fs[r, order], es[r, order]
+            tied = unsure(f[:, :-1], e[:, :-1], f[:, 1:], e[:, 1:]).any(axis=1)
+            if tied.any() and settle_simplices(s, fs, es, rows, np.flatnonzero(tied)):
+                order = np.argsort(fs, axis=1)
+            es = es[r, order]
+        return s[r, order], fs[r, order], es
 
     everyone = np.arange(n_rows)
     for k in range(dim + 1):
         rows = everyone[fcalls < maxfev]
         if rows.size:
-            fsim[rows, k] = call(rows, sim[rows, k])
+            fsim[rows, k], e = call(rows, sim[rows, k])
+            if certified:
+                esim[rows, k] = e
     # scipy sorts twice before the first iteration
-    sim, fsim = sort(*sort(sim, fsim))
+    sim, fsim, esim = sort(*sort(sim, fsim, esim, everyone), everyone)
 
     while True:
         live = np.flatnonzero(~converged & (fcalls < maxfev) & (nit < maxfev))
         s, fs = sim[live], fsim[live]
-        done = (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= _NM_XATOL) & (
-            np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= _NM_FATOL
-        )
+        es = esim[live] if certified else None
+        done = np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= _NM_XATOL
+        if certified and done.any():
+            diff, gap = np.abs(fs[:, :1] - fs[:, 1:]), es[:, :1] + es[:, 1:]
+            open_ = (done & ~(diff - gap > _NM_FATOL * (1 + 2.0**-40)).any(axis=1)
+                     & ~(diff + gap <= _NM_FATOL * (1 - 2.0**-40)).all(axis=1))
+            settle_simplices(s, fs, es, live, np.flatnonzero(open_))
+        done &= np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= _NM_FATOL
         if done.any():
             converged[live[done]] = True
+            if certified:  # keep what was settled
+                fsim[live[done]], esim[live[done]] = fs[done], es[done]
+                es = es[~done]
             live, s, fs = live[~done], s[~done], fs[~done]
         if not live.size:
             break
@@ -231,7 +316,19 @@ def _nelder_mead(f_rows, x0, lower, upper, maxfev):
         xbar = np.add.reduce(s[:, :-1], axis=1) / dim
         worst = s[:, -1]
         xr = clip((1 + _RHO) * xbar - _RHO * worst)
-        fxr = call(live, xr)
+        fxr, exr = call(live, xr)
+        if certified:
+            # the tests of fxr against the best, the second worst and the
+            # worst vertex: each is read where the ones before it did not
+            # decide, so each unsure one that may be read is settled
+            first = unsure(fxr, exr, fs[:, 0], es[:, 0])
+            to_second = first | (fxr >= fs[:, 0])
+            second = unsure(fxr, exr, fs[:, -2], es[:, -2]) & to_second
+            to_third = to_second & (second | (fxr >= fs[:, -2]))
+            third = unsure(fxr, exr, fs[:, -1], es[:, -1]) & to_third
+            settle((fxr, exr, xr, live, np.flatnonzero(first | second | third)),
+                   *[(fs[:, k], es[:, k], s[:, k], live, np.flatnonzero(mask))
+                     for k, mask in ((0, first), (-2, second), (-1, third))])
         expand = fxr < fs[:, 0]
         accept = ~expand & (fxr < fs[:, -2])
         contract = ~expand & ~accept
@@ -241,14 +338,22 @@ def _nelder_mead(f_rows, x0, lower, upper, maxfev):
         expand &= ~stopped
         contract &= ~stopped
         new_x, new_f = xr.copy(), fxr.copy()
+        new_e = exr.copy() if certified else None
         shrink = np.zeros_like(contract)
 
         if expand.any():
             xe = clip((1 + _RHO * _CHI) * xbar[expand] - _RHO * _CHI * worst[expand])
-            fxe = call(live[expand], xe)
+            fxe, exe = call(live[expand], xe)
+            if certified:
+                at = np.flatnonzero(expand)
+                tie = unsure(fxe, exe, fxr[at], exr[at])
+                settle((fxe, exe, xe, live[expand], np.flatnonzero(tie)),
+                       (fxr, exr, xr, live, at[tie]))
             better = fxe < fxr[expand]
             new_x[expand] = np.where(better[:, None], xe, xr[expand])
             new_f[expand] = np.where(better, fxe, fxr[expand])
+            if certified:
+                new_e[expand] = np.where(better, exe, exr[expand])
         if contract.any():
             out = outside[contract]
             xb, xw = xbar[contract], worst[contract]
@@ -257,7 +362,16 @@ def _nelder_mead(f_rows, x0, lower, upper, maxfev):
                 clip((1 + _PSI * _RHO) * xb - _PSI * _RHO * xw),
                 clip((1 - _PSI) * xb + _PSI * xw),
             )
-            fxc = call(live[contract], xc)
+            fxc, exc = call(live[contract], xc)
+            if certified:
+                at = np.flatnonzero(contract)
+                against, e_against = (np.where(out, fxr[at], fs[at, -1]),
+                                      np.where(out, exr[at], es[at, -1]))
+                tie = unsure(fxc, exc, against, e_against)
+                settle((fxc, exc, xc, live[contract], np.flatnonzero(tie)),
+                       (fxr, exr, xr, live, at[tie & out]),
+                       (fs[:, -1], es[:, -1], s[:, -1], live, at[tie & ~out]))
+                new_e[contract] = exc
             kept = np.where(out, fxc <= fxr[contract], fxc < fs[contract, -1])
             new_x[contract] = xc
             new_f[contract] = fxc
@@ -265,6 +379,8 @@ def _nelder_mead(f_rows, x0, lower, upper, maxfev):
         replace = expand | accept | (contract & ~shrink)
         s[replace, -1] = new_x[replace]
         fs[replace, -1] = new_f[replace]
+        if certified:
+            es[replace, -1] = new_e[replace]
 
         at = np.flatnonzero(shrink)
         for j in range(1, dim + 1):
@@ -275,11 +391,17 @@ def _nelder_mead(f_rows, x0, lower, upper, maxfev):
             stopped[at[~funded]] = True
             at = at[funded]
             if at.size:
-                fs[at, j] = call(live[at], s[at, j])
+                fs[at, j], e = call(live[at], s[at, j])
+                if certified:
+                    es[at, j] = e
 
         nit[live[~stopped]] += 1
-        sim[live], fsim[live] = sort(s, fs)
+        sim[live], fsim[live], es = sort(s, fs, es, live)
+        if certified:
+            esim[live] = es
 
+    if certified:  # fun is the best vertex's value of f_rows
+        settle((fsim[:, 0], esim[:, 0], sim[:, 0], everyone, everyone))
     return sim[:, 0].copy(), fsim.min(axis=1), nit
 
 
@@ -390,10 +512,16 @@ def _block_starts(lower, upper, opts: FitOptions, extra=None):
     return _start_points(lower, upper, max(4, opts.n_starts // 2), extra=extra)
 
 
-def _search_and_polish(ctxs, theta_of, lower, upper, starts, opts: FitOptions):
+def _search_and_polish(ctxs, theta_of, lower, upper, starts, opts: FitOptions, full=False):
     """The search from ``starts[p]`` on the path of ``ctxs[p]``, then the
     polish of its ``opts.polish_top`` best finite starts from inside the
     polish's bounds, for every path of a block at once.
+
+    ``full``: theta_of is ``_split(m1)`` over the model's box.  The search
+    of such a block of at least _SUMS_MIN_VALUES search rows times
+    observations then runs on the model's path sums where it has them
+    (``quasilik._sums_rows``), certified against ql_total, which gives the
+    same search bit for bit; the polish always runs on ql_total.
 
     The objective is ql_total at theta = theta_of(v); the contexts share one
     model and one observation step.  Returns, for each path, its fit, or
@@ -406,8 +534,14 @@ def _search_and_polish(ctxs, theta_of, lower, upper, starts, opts: FitOptions):
     f_rows = _guarded(_ql_rows(ctxs, theta_of))
     counts = [len(s) for s in starts]
     path = np.repeat(np.arange(len(ctxs)), counts)  # the path of each search row
+    approx = None
+    if full and path.size * ctxs[0].path.n >= _SUMS_MIN_VALUES:
+        sums_rows = _sums_rows(ctxs)
+        if sums_rows is not None:
+            approx = _certified(lambda rows, points: sums_rows(path[rows], points))
     x, fun, nit = _nelder_mead(lambda rows, points: f_rows(path[rows], points),
-                               np.concatenate(starts), lower, upper, maxfev=200 * lower.size)
+                               np.concatenate(starts), lower, upper, maxfev=200 * lower.size,
+                               approx=approx)
     # the polish rows: each path's best finite starts, ties to the earlier start
     order = np.lexsort((fun, path))
     order = order[fun[order] < _BIG]
@@ -443,10 +577,18 @@ def _search_and_polish(ctxs, theta_of, lower, upper, starts, opts: FitOptions):
     return out
 
 
-def _check_length(ctx: QLContext):
+def _length_error(ctx: QLContext):
+    """The error of a path of fewer than m1 + m2 + 2 observations, else None."""
     model = ctx.model
     if ctx.path.n + 1 < model.m1 + model.m2 + 2:
-        raise EstimationError("path too short for the number of parameters")
+        return EstimationError("path too short for the number of parameters")
+    return None
+
+
+def _check_length(ctx: QLContext):
+    error = _length_error(ctx)
+    if error is not None:
+        raise error
 
 
 def _fit_of(entry) -> FitResult:
@@ -470,13 +612,20 @@ def mqle_search(ctxs, opts: FitOptions = FitOptions()):
     The contexts share one model and one observation step.  Returns, for
     each context, its fit, the same as ``mqle(ctx, opts)`` (the gradient
     test reads the polish's final FD gradient), or that path's
-    ``EstimationError``.
+    ``EstimationError``; a path too short for ``mqle`` gets its error
+    without being searched.
     """
-    box = ctxs[0].model.box
-    starts = [_start_points(box.lower, box.upper, opts.n_starts, extra=_heuristic_start(ctx))
-              for ctx in ctxs]
-    return _search_and_polish(ctxs, _split(ctxs[0].model.m1), box.lower, box.upper,
-                              starts, opts)
+    entries = [_length_error(ctx) for ctx in ctxs]
+    searched = [ctx for ctx, entry in zip(ctxs, entries) if entry is None]
+    if searched:
+        model = searched[0].model
+        box = model.box
+        starts = [_start_points(box.lower, box.upper, opts.n_starts, extra=_heuristic_start(ctx))
+                  for ctx in searched]
+        fits = iter(_search_and_polish(searched, _split(model.m1), box.lower, box.upper,
+                                       starts, opts, full=True))
+        entries = [next(fits) if entry is None else entry for entry in entries]
+    return entries
 
 
 def mqle(ctx: QLContext, opts: FitOptions = FitOptions(), *, polished=None) -> FitResult:

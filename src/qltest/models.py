@@ -20,6 +20,7 @@ __all__ = [
     "ParamVector",
     "ParamBox",
     "Model",
+    "PathSums",
     "InvariantLaw",
     "gamma2",
     "correction_d1",
@@ -146,6 +147,27 @@ class InvariantLaw:
 
 
 @dataclass(frozen=True)
+class PathSums:
+    """ql_total as a closed form in a few sums over the path, with a bound.
+
+    ``callbacks`` are the model callbacks (drift, diff, drift_dx,
+    diffsq_dx, diffsq_dxx) the closed form is derived for.
+    ``sums(xprev, xnext, delta, box)`` returns the sums of a block of P
+    paths, given as (P, n) rows of left endpoints and observations, as an
+    array of P rows in the layout ``total`` reads, or None where the block
+    lies outside the range in which the bound is proven for every parameter
+    in ``box``.  ``total(sums, n, delta, theta)`` takes K such rows and a
+    theta whose blocks have shape (m, K), and returns (value, bound), each
+    of shape (K,): ``|value - ql_total| <= bound``, ql_total being the total
+    of the row's path at its parameter.
+    """
+
+    sums: Callable
+    total: Callable
+    callbacks: tuple
+
+
+@dataclass(frozen=True)
 class Model:
     """Parametric SDE model with analytic spatial derivatives.
 
@@ -171,6 +193,10 @@ class Model:
     gamma2, which for OU is one value per parameter point, not one per
     observation, and with all three zero it leaves out the correction.  An
     array of zeros gives the same terms at full cost.
+
+    ``path_sums``, optional, gives ql_total from a few sums over the path
+    (``PathSums``).  It holds only for the callbacks it names: a model
+    built with other callbacks, by ``dataclasses.replace`` too, has none.
     """
 
     m1: int
@@ -184,12 +210,16 @@ class Model:
     box: ParamBox
     invariant_law: Optional[Callable] = None
     name: str = "custom"
+    path_sums: Optional[PathSums] = None
 
     def __post_init__(self):
         if self.box.dim != self.m1 + self.m2:
             raise ConfigError(
                 f"box dimension {self.box.dim} != m1+m2 = {self.m1 + self.m2}"
             )
+        callbacks = (self.drift, self.diff, self.drift_dx, self.diffsq_dx, self.diffsq_dxx)
+        if self.path_sums is not None and self.path_sums.callbacks != callbacks:
+            object.__setattr__(self, "path_sums", None)
 
     def diffsq(self, theta: ParamVector, x):
         s = self.diff(theta, x)
@@ -321,6 +351,225 @@ def _cir_invariant(theta):
     return InvariantLaw("gamma", (2.0 * a1 * a2 / b1**2, b1**2 / (2.0 * a1)))
 
 
+# --- path sums of the built-ins ---------------------------------------------
+# For a drift linear in the state, ql_total is a closed form in a few sums
+# over the path (Kessler 1997).  Each total comes with a proven bound on its
+# distance from ql_total as ``quasilik._terms`` computes it; ``_sums_bound``
+# derives it.
+
+_U = 2.0 ** -53  # unit roundoff of IEEE double precision
+
+# the proven range: path values, the step, the box's alpha bounds and beta
+# within 2**40 in magnitude; the step, beta and CIR's states at least 2**-40
+_SUMS_RANGE = 2.0 ** 40
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u)."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _in_sums_range(xprev, xnext, delta, box, positive):
+    """Whether a block of paths and a box lie in the range of ``_sums_bound``."""
+    big, small = _SUMS_RANGE, 1.0 / _SUMS_RANGE
+    lo, hi = box.lower, box.upper
+    floor = small if positive else -big
+    # a NaN fails every comparison
+    values = all(bool(np.all((x >= floor) & (x <= big))) for x in (xprev, xnext))
+    alpha = bool(np.all(np.abs(lo[:-1]) <= big) and np.all(np.abs(hi[:-1]) <= big))
+    return (values and alpha and small <= delta <= big and small <= lo[-1] and hi[-1] <= big
+            and xprev.shape[-1] <= 2**30)
+
+
+def _sums_bound(n, m, aw, wp):
+    """The bound E of a path-sum total, from magnitudes formed of sums of
+    absolute values.
+
+    Notation: x_i = X_{i-1} and y_i = X_i (floats), D_i = y_i - x_i, theta
+    the float parameter, h = delta a1, r_i = D_i + h (x_i - a2) the
+    residual, c_i = beta1^2 (OU) or beta1^2 x_i (CIR), e_i = delta gamma2 /
+    c_i the correction (OU: -h; CIR: h a2 / (2 x_i) - 3h/2), q_i = r_i^2 /
+    (2 delta c_i), t_i = q_i (1 - e_i) + (log c_i + e_i) / 2, and T = sum t_i
+    in exact arithmetic.  E bounds |S - T| + |V - T|, S being the total of
+    the sums and V ql_total as ``quasilik._terms`` computes it.
+
+    Assumptions.  IEEE double arithmetic with round to nearest: + - * / and
+    sqrt are correctly rounded, fl(a op b) = (a op b)(1 + eps) + eta with
+    |eps| <= u = 2^-53, |eta| <= 2^-1075, eta = 0 for + and -.  ``np.log``
+    is within 4 ulps, so |fl(log z) - log z| <= 8u |log z|.  A sum of n
+    values is any order of pairwise additions (numpy's pairwise sum is one),
+    so each value passes at most n - 1 roundings.  The block lies in
+    ``_in_sums_range`` and theta in the box, so no operation of either
+    computation overflows (every intermediate is below 2^600), and an eta
+    is multiplied on its way by at most 2^560 (h^3 a2^3 / (2 delta beta1^2)
+    times 1/x^2): the at most 134 n etas together move either result by at
+    most n 2^-500.  gamma_j + gamma_k + gamma_j gamma_k
+    <= gamma_{j+k}, and a product of k factors (1 + eps)^{+-1} is 1 + theta_k,
+    |theta_k| <= gamma_k (Higham 2002, Lemmas 3.1 and 3.3).
+
+    The sums.  S evaluates a polynomial in per-path sums of products of
+    D_i, x_i, 1/x_i and log x_i, divided by 2 delta beta1^2.  Each product
+    carries at most 8 roundings, its path sum n - 1 more, the coefficients
+    and their combination at most 31 more, so S = sum over the monomials of
+    their exact value times (1 + theta_{n+40}): |S - T| <= gamma_{n+40} T_abs,
+    T_abs being the same formula with every leaf and coefficient replaced
+    by its absolute value and every path sum by the sum of absolute values
+    (sum |D_i| for sum D_i).  T_abs <= M below.
+
+    The terms.  In ``_terms``, c carries theta_5 (CIR: sqrt, product,
+    square) and so log c an absolute error of gamma_6 besides the 8u of
+    ``np.log``; e is within gamma_8 ebar_i of e_i, where ebar_i = |h| (OU) or
+    |h| (|a2| / x_i + 3) (CIR) also bounds |e_i|; the residual, formed as
+    y - (x + delta b), is within rho_i <= gamma_5 P_i of r_i, P_i = |D_i| +
+    |x_i| (1 + 2|h|) + 2|h||a2|; and q_i carries theta_8 on r_i^2.  Carrying
+    these through quad (1 - e) + (log c + e) / 2 gives, with m_i = q_i (1 +
+    ebar_i) + |log c_i| / 2 + ebar_i / 2 + 1 >= |t_i| and weights w_i = (1 +
+    ebar_i) / (2 delta c_i),
+
+        |fl(t_i) - t_i| <= gamma_20 m_i + (1 + gamma_19) w_i rho_i (2|r_i| + rho_i),
+
+    and the sum of the n computed terms adds gamma_{n-1} sum |fl(t_i)|.  By
+    Cauchy-Schwarz, sum w_i rho_i |r_i| <= gamma_5 sqrt(W_P A_w) with A_w =
+    sum w_i R_i^2 >= sum w_i r_i^2, R_i = |D_i| + |h| (|a2| + |x_i|), and W_P
+    = sum w_i P_i^2; so |V - T| <= gamma_{n+19} M + 3 gamma_5 sqrt(W_P A_w)
+    + 2 gamma_5^2 W_P, with M >= sum m_i.
+
+    Together |S - T| + |V - T| <= 2 gamma_{n+40} M + 3 gamma_5 sqrt(W_P A_w)
+    + 2 gamma_5^2 W_P + n 2^-500.  M, A_w and W_P are sums of positive
+    terms, each computed within a factor 1 - gamma_{n+40} of its value; the
+    constants 2.5, 4 and 3 below cover that.  ``m``, ``aw`` and ``wp`` are
+    M, A_w and W_P of each row.
+    """
+    g5 = _gamma(5)
+    return (2.5 * _gamma(n + 40) * m + 4.0 * g5 * np.sqrt(wp) * np.sqrt(aw)
+            + 3.0 * g5 * g5 * wp + n * 2.0 ** -500)
+
+
+def _nested(table, h, a2):
+    """A + h (2 (B - a2 C) + h (D - a2 (E - a2 F))) for each column of a
+    (K, 6, C) table of rows A .. F, with h and a2 of shape (K, C).
+
+    Every quadratic form of the built-ins' totals and bounds has this
+    shape: a signed form with (h, a2), and its form of absolute values,
+    whose rows are sums of absolute values, with (|h|, -|a2|).
+    """
+    a, b, c, d, e, f = np.moveaxis(table, 1, 0)
+    return a + h * (2.0 * (b - a2 * c) + h * (d - a2 * (e - a2 * f)))
+
+
+# the columns of each table evaluated with (h, a2); the others take (|h|, -|a2|)
+_OU_SIGNED = np.array([True, False, False])
+_CIR_SIGNED = np.array([True, True, False, False, False, False])
+
+
+def _ou_sums(xprev, xnext, delta, box):
+    """OU's table for ``_nested``, from the 5 sums of the closed form (sum
+    D^2, D, D x, x, x^2) and 3 sums of absolute values for its bound (sum
+    |D|, |D x|, |x|); columns: sum r^2, its form of absolute values (sum
+    R^2) and sum P^2 of ``_sums_bound``."""
+    if not _in_sums_range(xprev, xnext, delta, box, positive=False):
+        return None
+    d = xnext - xprev
+    dx = d * xprev
+    s_dd, s_d, s_dx = (d * d).sum(-1), d.sum(-1), dx.sum(-1)
+    s_x, s_xx = xprev.sum(-1), (xprev * xprev).sum(-1)
+    a_d, a_dx, a_x = np.abs(d).sum(-1), np.abs(dx).sum(-1), np.abs(xprev).sum(-1)
+    n = np.full_like(s_dd, xprev.shape[-1])
+    return np.stack([
+        [s_dd, s_dd, s_dd + 2.0 * a_dx + s_xx],
+        [s_dx, a_dx, 2.0 * (a_dx + s_xx)],
+        [s_d, a_d, 2.0 * (a_d + a_x)],
+        [s_xx, s_xx, 4.0 * s_xx],
+        [2.0 * s_x, 2.0 * a_x, 8.0 * a_x],
+        [n, n, 4.0 * n],
+    ]).transpose(2, 0, 1)
+
+
+def _ou_total(sums, n, delta, theta):
+    """OU's ql_total from its sums and the bound of ``_sums_bound``.
+
+    c = beta1^2 and e = -h are constant, so T = (1 + h) sum r_i^2 / (2 delta
+    c) + n (log beta1 - h / 2), with sum r_i^2 = sum (D + h (x - a2))^2 =
+    sum D^2 + h (2 (sum D x - a2 sum D) + h (sum x^2 - a2 (2 sum x - a2 n))).
+    """
+    a1, a2 = theta.alpha
+    b1 = theta.beta[0]
+    h = delta * a1
+    ha, aa = np.abs(h), np.abs(a2)
+    q, qa, pp = _nested(sums, np.where(_OU_SIGNED, h[:, None], ha[:, None]),
+                        np.where(_OU_SIGNED, a2[:, None], -aa[:, None])).T
+    scale = 2.0 * delta * (b1 * b1)
+    log_b1 = np.log(b1)
+    value = (1.0 + h) * q / scale + n * (log_b1 - 0.5 * h)
+    w = (1.0 + ha) / scale
+    aw = w * qa
+    m = aw + n * (np.abs(log_b1) + 0.5 * ha + 1.0)
+    return value, _sums_bound(n, m, aw, w * pp)
+
+
+
+def _cir_sums(xprev, xnext, delta, box):
+    """CIR's table for ``_nested``, from the 9 sums of the closed form (sum
+    D^2/x, x, 1/x, D, D/x, D^2/x^2, 1/x^2, D/x^2, log x) and 4 sums of
+    absolute values for its bound (sum |D|, |D|/x, |D|/x^2, |log x|);
+    columns: sum r^2/x and sum r^2/x^2, their forms of absolute values, and
+    sum P^2/x and sum P^2/x^2 of ``_sums_bound``.  Then sum log x, sum
+    |log x| and sum 1/x."""
+    if not _in_sums_range(xprev, xnext, delta, box, positive=True):
+        return None
+    d = xnext - xprev
+    ix = 1.0 / xprev
+    d_x = d * ix
+    dd_x = d * d_x
+    d_xx = d_x * ix
+    log_x = np.log(xprev)
+    s_ddx, s_x, s_1x, s_d, s_dx = (dd_x.sum(-1), xprev.sum(-1), ix.sum(-1), d.sum(-1),
+                                   d_x.sum(-1))
+    s_ddxx, s_1xx, s_dxx, s_log = ((dd_x * ix).sum(-1), (ix * ix).sum(-1), d_xx.sum(-1),
+                                   log_x.sum(-1))
+    a_d, a_dx, a_dxx, a_log = (np.abs(d).sum(-1), np.abs(d_x).sum(-1), np.abs(d_xx).sum(-1),
+                               np.abs(log_x).sum(-1))
+    n = np.full_like(s_x, xprev.shape[-1])
+    table = np.stack([
+        [s_ddx, s_ddxx, s_ddx, s_ddxx, s_ddx + 2.0 * a_d + s_x, s_ddxx + 2.0 * a_dx + n],
+        [s_d, s_dx, a_d, a_dx, 2.0 * (a_d + s_x), 2.0 * (a_dx + n)],
+        [s_dx, s_dxx, a_dx, a_dxx, 2.0 * (a_dx + n), 2.0 * (a_dxx + s_1x)],
+        [s_x, n, s_x, n, 4.0 * s_x, 4.0 * n],
+        [2.0 * n, 2.0 * s_1x, 2.0 * n, 2.0 * s_1x, 8.0 * n, 8.0 * s_1x],
+        [s_1x, s_1xx, s_1x, s_1xx, 4.0 * s_1x, 4.0 * s_1xx],
+    ]).transpose(2, 0, 1)
+    return np.concatenate([table.reshape(len(n), 36), np.stack([s_log, a_log, s_1x], -1)], -1)
+
+
+def _cir_total(sums, n, delta, theta):
+    """CIR's ql_total from its sums and the bound of ``_sums_bound``.
+
+    With c_i = beta1^2 x_i and 1 - e_i = 1 + 3h/2 - h a2 / (2 x_i),
+    T = ((1 + 3h/2) sum r^2/x - (h a2 / 2) sum r^2/x^2) / (2 delta beta1^2)
+    + n log beta1 + sum log x / 2 + h (a2 sum 1/x / 4 - 3n/4), where
+    sum r^2/x = sum D^2/x + h (2 (sum D - a2 sum D/x) + h (sum x - a2 (2n -
+    a2 sum 1/x))) and sum r^2/x^2 = sum D^2/x^2 + h (2 (sum D/x - a2 sum
+    D/x^2) + h (n - a2 (2 sum 1/x - a2 sum 1/x^2))).
+    """
+    a1, a2 = theta.alpha
+    b1 = theta.beta[0]
+    h = delta * a1
+    ha, aa = np.abs(h), np.abs(a2)
+    q1, q2, q1a, q2a, p1, p2 = _nested(
+        sums[:, :36].reshape(-1, 6, 6), np.where(_CIR_SIGNED, h[:, None], ha[:, None]),
+        np.where(_CIR_SIGNED, a2[:, None], -aa[:, None])).T
+    s_log, a_log, s_1x = sums[:, 36:].T
+    scale = 2.0 * delta * (b1 * b1)
+    log_b1 = np.log(b1)
+    value = (((1.0 + 1.5 * h) * q1 - 0.5 * h * a2 * q2) / scale
+             + (n * log_b1 + 0.5 * s_log + h * (0.25 * a2 * s_1x - 0.75 * n)))
+    w1, w2 = (1.0 + 3.0 * ha) / scale, ha * aa / scale
+    aw = w1 * q1a + w2 * q2a
+    m = aw + n * (np.abs(log_b1) + 1.0) + 0.5 * a_log + 0.5 * ha * (aa * s_1x + 3.0 * n)
+    return value, _sums_bound(n, m, aw, w1 * p1 + w2 * p2)
+
+
+
 def default_box() -> ParamBox:
     """Default compact parameter set for the built-in 3-parameter models."""
     return ParamBox(np.full(3, 0.01), np.full(3, 5.0))
@@ -349,6 +598,8 @@ def make_ou(box: Optional[ParamBox] = None) -> Model:
         box=box,
         invariant_law=_ou_invariant,
         name="ou",
+        path_sums=PathSums(_ou_sums, _ou_total, (
+            _linear_drift, _ou_diff, _linear_drift_dx, _zero, _zero)),
     )
 
 
@@ -368,6 +619,8 @@ def make_cir(box: Optional[ParamBox] = None) -> Model:
         box=box,
         invariant_law=_cir_invariant,
         name="cir",
+        path_sums=PathSums(_cir_sums, _cir_total, (
+            _linear_drift, _cir_diff, _linear_drift_dx, _cir_diffsq_dx, _zero)),
     )
 
 

@@ -110,6 +110,10 @@ class ExperimentConfig:
             )
         model = self.model()  # an unknown model id or a bad box fails here
         model.check_theta(self.theta0)
+        fewest = model.m1 + model.m2 + 1  # every fit refuses a shorter path
+        if self.n < fewest:
+            raise ConfigError(f"n = {self.n!r} is too short to fit {fewest - 1} parameters: "
+                              f"it must be at least {fewest}")
         if not model.in_domain(self.x0):
             raise ConfigError(
                 f"x0 = {self.x0!r} lies outside the open state domain {model.state_domain}")

@@ -15,6 +15,8 @@ one row call, the points stacked as a (d, k, 1) parameter block against the
 path, which gives the values of the one-point-at-a-time loop
 (``fd_gradient``/``fd_hessian``) bit for bit.  ``_ql_rows`` is that row
 evaluator; the estimator's search and polish use it as well.
+``_sums_rows`` evaluates rows from a model's path sums instead, each value
+with a bound on its distance from ``_ql_rows``'s.
 """
 
 from __future__ import annotations
@@ -69,8 +71,10 @@ class QLContext:
 
 def _drift_free(ctx: QLContext) -> QLContext:
     """ctx with the drift and every x-derivative the float 0: its terms are
-    (1/2) {(X_i - X_{i-1})^2 / (delta c) + log c}, the local-Gaussian contrast."""
-    model = replace(ctx.model, drift=_zero, drift_dx=_zero, diffsq_dx=_zero, diffsq_dxx=_zero)
+    (1/2) {(X_i - X_{i-1})^2 / (delta c) + log c}, the local-Gaussian contrast.
+    It has no path sums: the full model's would give the full total."""
+    model = replace(ctx.model, drift=_zero, drift_dx=_zero, diffsq_dx=_zero, diffsq_dxx=_zero,
+                    path_sums=None)
     return QLContext(model, ctx.path)
 
 
@@ -279,8 +283,8 @@ def _ql_rows(ctxs, theta_of):
     if len(ctxs) == 1:
         xprev, xnext = ctxs[0].xprev, ctxs[0].xnext
     else:
-        xprev = np.stack([ctx.xprev for ctx in ctxs])
-        xnext = np.stack([ctx.xnext for ctx in ctxs])
+        values = np.stack([ctx.path.values for ctx in ctxs])
+        xprev, xnext = values[:, :-1], values[:, 1:]
     chunk = max(1, _CHUNK_VALUES // xprev.shape[-1])
 
     def f(rows, points):
@@ -294,6 +298,41 @@ def _ql_rows(ctxs, theta_of):
                 xp, xn = xprev[paths], xnext[paths]
             out[i : i + chunk] = _terms(model, delta, xp, xn, theta_of(block)).sum(axis=1)
         return out
+
+    return f
+
+
+def _sums_rows(ctxs):
+    """The path-sum row evaluator of a full-theta fit, or None.
+
+    f(rows, points) returns, for each row r, the total of the path of
+    ``ctxs[rows[r]]`` at theta = _split(m1)(points[r]) from that path's
+    sums, and a bound on its distance from the row's ``_ql_rows`` value
+    (``models.PathSums``).  The sums are formed once, here, for chunks of
+    at most _CHUNK_VALUES // n paths, so their temporaries stay small.
+    None where the model has no path sums, or the block's sums are
+    non-finite or lie outside the range in which the bound is proven for
+    the model's box, e.g. where c could leave (0, inf) inside the box.
+    """
+    model, delta, n = ctxs[0].model, ctxs[0].path.delta, ctxs[0].path.n
+    pair = model.path_sums
+    if pair is None:
+        return None
+    step = max(1, _CHUNK_VALUES // n)
+    parts = []
+    with np.errstate(all="ignore"):
+        for i in range(0, len(ctxs), step):
+            chunk = ctxs[i : i + step]
+            sums = pair.sums(np.stack([ctx.xprev for ctx in chunk]),
+                             np.stack([ctx.xnext for ctx in chunk]), delta, model.box)
+            if sums is None or not np.all(np.isfinite(sums)):
+                return None
+            parts.append(sums)
+    sums, m1 = np.concatenate(parts), model.m1
+
+    def f(rows, points):
+        block = points.T
+        return pair.total(sums[rows], n, delta, ParamVector._wrap(block[:m1], block[m1:]))
 
     return f
 

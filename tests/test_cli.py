@@ -481,6 +481,18 @@ def test_power_x0_outside_the_domain_exits_2(tmp_path, capsys):
     assert "x0" in capsys.readouterr().err
 
 
+def test_power_with_too_few_observations_exits_2(tmp_path, capsys):
+    # n = 3 leaves no path a fit accepts: refused up front, not fitted and
+    # counted against the failure budget
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("model.id = ou\nmodel.theta0 = 0.5,0.5,0.25\nsim.n = 3\n"
+                   "mc.replications = 50\nmc.h_grid = 0,1\nmc.master_seed = 3\n")
+    out = tmp_path / "t.csv"
+    assert main(["power", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert "at least 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_power_bad_config_exits_2(tmp_path):
     cfg = tmp_path / "broken.cfg"
     cfg.write_text("not a config\n")

@@ -22,6 +22,8 @@ from qltest import (
     mqle,
     ql_total,
 )
+from qltest import estimate
+from qltest.estimate import mqle_search
 
 
 def test_mqle_recovers_parameters(ou_ctx_1000, ou_fit_1000, theta0_ou, ou_model):
@@ -82,6 +84,30 @@ def test_mqle_rejects_too_short_path(ou_model):
     path = SamplePath(delta=0.01, values=[0.5, 0.51, 0.49, 0.5])
     with pytest.raises(EstimationError):
         mqle(QLContext(ou_model, path))
+
+
+def test_mqle_search_gives_a_too_short_path_its_error_unsearched(ou_model, ou_ctx_1000,
+                                                                   monkeypatch):
+    short = QLContext(ou_model, SamplePath(delta=0.01, values=[0.5, 0.51, 0.49, 0.5]))
+    searched = []
+    search = estimate._search_and_polish
+
+    def counted(ctxs, *args, **kwargs):
+        searched.append(len(ctxs))
+        return search(ctxs, *args, **kwargs)
+
+    monkeypatch.setattr(estimate, "_search_and_polish", counted)
+    (entry,) = mqle_search([short])
+    assert isinstance(entry, EstimationError) and "path too short" in str(entry)
+    assert searched == []
+    # beside a searchable path, only that one is searched
+    cheap = FitOptions(n_starts=2, polish_top=1)
+    fit, entry, again = mqle_search([ou_ctx_1000, short, ou_ctx_1000], cheap)
+    assert isinstance(entry, EstimationError) and searched == [2]
+    ref = mqle(ou_ctx_1000, cheap)
+    for f in (fit, again):
+        assert f.theta_hat.full.tobytes() == ref.theta_hat.full.tobytes()
+        assert dataclasses.replace(f, theta_hat=None) == dataclasses.replace(ref, theta_hat=None)
 
 
 def test_initial_beta(ou_ctx_1000, ou_model):

@@ -208,6 +208,64 @@ def test_small_budgets_stop_rows_mid_iteration(problem):
     assert in_shrink > 0 or problem != "staircase"
 
 
+def _adversarial(f_rows, scale, seed):
+    """An evaluator that claims a bound of up to scale * (1 + |f|) on each
+    value and returns f_rows's value moved by noise inside that bound; a
+    tenth of its values are f_rows's, claimed with bound 0."""
+    rng = np.random.default_rng(seed)
+
+    def approx(rows, points):
+        exact = f_rows(rows, points)
+        bound = scale * (1.0 + np.abs(exact)) * rng.random(exact.size)
+        bound[rng.random(exact.size) < 0.1] = 0.0
+        value = exact + bound * rng.uniform(-1.0, 1.0, exact.size)
+        # the sum rounds by at most half a spacing of the value
+        return value, np.where(bound > 0, bound + np.spacing(np.abs(value)), 0.0)
+
+    return approx
+
+
+def _big_problem():
+    """OU rows on a drift that is NaN where a1 > 4: the objective reads
+    _BIG there, and a third of the starts lie in that region."""
+    model = dataclasses.replace(make_model("ou"), drift=_drift_nan_above_four)
+    ctxs = [QLContext(model, ctx.path) for ctx in _ctxs("ou", 100, 6, seed=40)]
+    outside = [(i, [4.6 - 0.1 * (i % 3), 0.5 + 0.2 * i, 0.3]) for i in range(6)]
+    return _full_problem(ctxs, 2, extra_starts=outside)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-12])
+@pytest.mark.parametrize("maxfev", [7, 29, 600])
+@pytest.mark.parametrize("problem", ["ou", "cir", "staircase", "big"])
+def test_search_on_an_adversarial_evaluator_equals_the_exact_search(problem, maxfev, scale):
+    # the certified search decides on the evaluator's values only where
+    # their bounds separate them, so any values inside the claimed bounds
+    # give the search on f_rows alone, row for row
+    if problem == "staircase":
+        f_rows, starts, _, box = _staircase_problem()
+    elif problem == "big":
+        f_rows, starts, _, box = _big_problem()
+    else:
+        f_rows, starts, _, box = _full_problem(_ctxs(problem, 100, 12, seed=5), 4)
+    calls = []
+
+    def counted(rows, points):
+        calls.append(len(rows))
+        return f_rows(rows, points)
+
+    exact = _nelder_mead(counted, starts, box.lower, box.upper, maxfev)
+    evaluations, calls[:] = sum(calls), []
+    certified = _nelder_mead(counted, starts, box.lower, box.upper, maxfev,
+                             approx=_adversarial(f_rows, scale, seed=maxfev))
+    for a, b in zip(exact, certified):
+        assert a.tobytes() == b.tobytes()
+    if maxfev == 600:
+        # some decisions were settled on f_rows, and not all of them
+        assert 0 < sum(calls) < evaluations
+    if problem == "big":
+        assert np.any(exact[1] == _BIG) or maxfev == 600
+
+
 @pytest.mark.parametrize("model_id", ["ou", "cir"])
 def test_one_dimensional_rows_equal_scipy(model_id):
     # the beta step of the adaptive fit: a 1-d search, alpha held fixed

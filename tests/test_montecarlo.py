@@ -30,6 +30,7 @@ from qltest.montecarlo import PowerTable, _empirical_quantile
 from qltest.quasilik import observed_info
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "power_ou_n100.csv"
+GOLDEN_CIR_CSV = Path(__file__).parent / "data" / "power_cir_n1000.csv"
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +98,10 @@ def test_config_validation(theta0_ou):
         ExperimentConfig(h_grid=(0.0, 0.0), **kw)
     with pytest.raises(ConfigError, match="repeat a kind"):
         ExperimentConfig(h_grid=(0.0,), statistics=("T", "t"), **kw)
+    # every fit refuses a path of fewer than m1 + m2 + 2 observations
+    with pytest.raises(ConfigError, match="at least 4"):
+        ExperimentConfig(h_grid=(0.0,), **dict(kw, n=3))
+    assert ExperimentConfig(h_grid=(0.0,), **dict(kw, n=4)).n == 4
     # the model is built with the config: its id, box, theta0 and x0 are checked
     with pytest.raises(ConfigError, match="outside the open state domain"):
         ExperimentConfig(model_id="cir", theta0=ParamVector([0.5, 0.5], [0.125]), n=50,
@@ -254,6 +259,17 @@ def test_power_csv_matches_the_golden_table(golden_config, workers, tmp_path):
     out = tmp_path / "table.csv"
     run_table(golden_config, out, workers=workers)
     assert out.read_bytes() == GOLDEN_CSV.read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cir_power_csv_matches_its_golden_table(theta0_cir, workers, tmp_path):
+    # CIR n = 1000: the block's search runs on the path sums, certified
+    # against ql_total, and must give the table recorded before it did
+    config = ExperimentConfig(model_id="cir", theta0=theta0_cir, n=1000, h_grid=(0.0, 0.2),
+                              replications=50, master_seed=2018)
+    out = tmp_path / "table.csv"
+    run_table(config, out, workers=workers)
+    assert out.read_bytes() == GOLDEN_CIR_CSV.read_bytes()
 
 
 def _withholding_info(fail_reps, replications):
